@@ -25,9 +25,16 @@ import (
 //     context.Background() via one.
 //  4. An exported function whose first parameter is a context.Context must
 //     use it — a dropped ctx parameter is a silent cancellation leak.
+//  5. A call to Foo is an error when FooContext (first parameter a
+//     context.Context) exists in the callee's package — as a function, or
+//     as a method of the same receiver — and the calling function, or a
+//     function enclosing it, has a context.Context parameter. The wrapper
+//     runs FooContext under context.Background(), so calling it with a ctx
+//     in scope severs cancellation without a Background() in sight —
+//     which is how a batch run's lazy index build slipped past rule 2.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
-	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never",
+	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never, Foo never where FooContext exists and a ctx is in scope",
 	AppliesTo: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/executor") ||
 			strings.HasSuffix(pkgPath, "internal/server")
@@ -45,12 +52,6 @@ func runCtxPropagate(pass *Pass) error {
 		if strings.HasSuffix(fd.Name.Name, "Context") {
 			variants[fd.Name.Name] = true
 		}
-	}
-
-	isCtxType := func(t types.Type) bool {
-		n := derefNamed(t)
-		return n != nil && n.Obj().Pkg() != nil &&
-			n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
 	}
 
 	for _, file := range pass.Files {
@@ -87,6 +88,13 @@ func runCtxPropagate(pass *Pass) error {
 			}
 			return true
 		})
+	}
+
+	// Rule 5: non-Context wrappers called with a ctx in scope.
+	for _, fd := range funcs.decls {
+		if fd.Body != nil {
+			checkSeveringCalls(pass, fd.Body, hasCtxParam(pass.Info, fd.Type))
+		}
 	}
 
 	// Rule 4: exported entrypoints with a leading ctx parameter must use it.
@@ -155,6 +163,76 @@ func isWrapperDelegation(pass *Pass, funcs *funcIndex, bg *ast.CallExpr, variant
 		return !ok
 	})
 	return ok
+}
+
+// checkSeveringCalls reports rule-5 calls in body; ctxInScope says whether
+// the function owning body, or one enclosing it, has a ctx parameter.
+func checkSeveringCalls(pass *Pass, body ast.Node, ctxInScope bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			checkSeveringCalls(pass, x.Body, ctxInScope || hasCtxParam(pass.Info, x.Type))
+			return false
+		case *ast.CallExpr:
+			if !ctxInScope {
+				return true
+			}
+			if fn := calleeFunc(pass.Info, x); fn != nil && !strings.HasSuffix(fn.Name(), "Context") && hasContextVariant(fn) {
+				pass.Reportf(x.Pos(), "%s severs cancellation while a ctx is in scope: call %sContext with it", fn.Name(), fn.Name())
+			}
+		}
+		return true
+	})
+}
+
+func isCtxType(t types.Type) bool {
+	n := derefNamed(t)
+	return n != nil && n.Obj().Pkg() != nil &&
+		n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
+}
+
+func hasCtxParam(info *types.Info, ft *ast.FuncType) bool {
+	for _, f := range ft.Params.List {
+		if isCtxType(info.TypeOf(f.Type)) {
+			return true
+		}
+	}
+	return false
+}
+
+// calleeFunc resolves a call's static callee (function or method), or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if id == nil {
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// hasContextVariant reports whether fn's package declares fn.Name()+"Context"
+// — a package function for a function, a method of the same receiver for a
+// method — taking a context.Context first.
+func hasContextVariant(fn *types.Func) bool {
+	name := fn.Name() + "Context"
+	var obj types.Object
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), name)
+	} else if fn.Pkg() != nil {
+		obj = fn.Pkg().Scope().Lookup(name)
+	}
+	v, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	params := v.Type().(*types.Signature).Params()
+	return params.Len() > 0 && isCtxType(params.At(0).Type())
 }
 
 func signatureOf(info *types.Info, call *ast.CallExpr) *types.Signature {

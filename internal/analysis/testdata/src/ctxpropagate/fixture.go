@@ -1,6 +1,7 @@
 // Fixture for the ctxpropagate analyzer: the executor/server cancellation
 // contract. Blocking entrypoints thread ctx; context.Background() only
-// inside Foo→FooContext wrappers; context.TODO() and nil contexts never.
+// inside Foo→FooContext wrappers; context.TODO() and nil contexts never;
+// never the Foo wrapper where FooContext exists and a ctx is in scope.
 package ctxpropagate
 
 import "context"
@@ -51,4 +52,34 @@ func BlankCtx(_ context.Context, n int) int { // want `discards its ctx paramete
 func Detach(n int) int {
 	//lint:ignore ctxpropagate rebuild runs beyond the request lifetime by design
 	return RunContext(context.Background(), n)
+}
+
+// Index has a Context variant for its method Build.
+type Index struct{}
+
+func (ix *Index) Build(n int) int { return ix.BuildContext(context.Background(), n) }
+
+func (ix *Index) BuildContext(ctx context.Context, n int) int {
+	if ctx.Err() != nil {
+		return 0
+	}
+	return n
+}
+
+// Wrapped calls the non-Context wrappers while its own ctx is in scope,
+// directly and from a closure: flagged, the calls drop ctx.
+func Wrapped(ctx context.Context, ix *Index, n int) int {
+	m := Run(n) // want `Run severs cancellation while a ctx is in scope`
+	f := func() int {
+		return ix.Build(m) // want `Build severs cancellation while a ctx is in scope`
+	}
+	return RunContext(ctx, f())
+}
+
+// NoCtx has no ctx to thread, so the wrappers are the right calls; and
+// Threaded threads its ctx into the Context variants: neither is flagged.
+func NoCtx(ix *Index, n int) int { return ix.Build(Run(n)) }
+
+func Threaded(ctx context.Context, ix *Index, n int) int {
+	return ix.BuildContext(ctx, RunContext(ctx, n))
 }

@@ -79,8 +79,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSteadyStateAllocsBatch extends the steady-state budget to the batch
-// pipeline: runMulti's per-run bookkeeping (per-query slots, heaps and
-// bound vectors) scales with Q, while per-candidate evaluation stays on
+// pipeline: the per-run bookkeeping (per-query records and heaps) scales
+// with Q, while per-candidate evaluation stays on
 // the pooled evalCtx exactly as in the single-plan kernel. The budget is
 // the single-plan budget times Q plus the same per-run overhead — if
 // per-candidate garbage crept into the shared-memo path it would blow
@@ -122,6 +122,70 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 			})
 			if avg > budget {
 				t.Errorf("steady-state batch RunGrouped allocates %.0f objects per run, budget %d", avg, budget)
+			}
+		})
+	}
+}
+
+// TestSteadyStateAllocsIndexed extends the steady-state budget to the
+// indexed path every server search takes: best-first traversal over a
+// prebuilt shape index, per-leaf member bounding, exact scoring and the
+// final selection. Each run may allocate per-run bookkeeping and the
+// escaping result slices of scored candidates, but nothing per visited
+// leaf or bounded member beyond that — 4 objects per candidate (per
+// candidate and query for the batch) leaves room for the records while
+// failing on per-leaf garbage.
+func TestSteadyStateAllocsIndexed(t *testing.T) {
+	const (
+		nSeries = 512
+		points  = 120
+		nq      = 4
+	)
+	series := allocSeries(nSeries, points)
+	queries := []string{"u ; d ; u", "d ; u ; d", "u ; d", "u ; d ; u ; d"}
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			opts := seqOpts()
+			opts.Algorithm = AlgSegmentTree
+			opts.Pruning = true
+			opts.Parallelism = par
+			plans := make([]*Plan, nq)
+			for i, q := range queries {
+				p, err := Compile(regexlang.MustParse(q), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans[i] = p
+			}
+			mp, err := NewMultiPlan(plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vizs := plans[0].GroupSeries(series)
+			if len(vizs) != nSeries {
+				t.Fatalf("grouped %d vizs, want %d", len(vizs), nSeries)
+			}
+			ix := BuildVizIndex(vizs, par)
+			for _, tc := range []struct {
+				name   string
+				budget int
+				run    func() error
+			}{
+				{"single", 4 * nSeries, func() error { _, err := plans[0].RunIndexed(ix); return err }},
+				{"batch", 4 * nSeries * nq, func() error { _, err := mp.RunIndexed(ix); return err }},
+			} {
+				if err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+				avg := testing.AllocsPerRun(5, func() {
+					if err := tc.run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%s: %.0f objects per run", tc.name, avg)
+				if avg > float64(tc.budget) {
+					t.Errorf("steady-state %s RunIndexed allocates %.0f objects per run, budget %d", tc.name, avg, tc.budget)
+				}
 			}
 		})
 	}

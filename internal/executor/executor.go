@@ -266,7 +266,7 @@ func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSo
 // evalVizShared is evalViz with explicit memo-reset control: the score/fit
 // memos are bump-reset only when resetMemo is true. Single-query execution
 // always resets (the memos belong to the (candidate, query) evaluation);
-// batch execution (runMulti) resets on the candidate's first evaluated
+// the pipeline's score stage resets on the candidate's first evaluated
 // query only, so later queries of the same candidate share every
 // (signature, range) score and every range fit already computed — signature
 // ids are batch-global, so shared entries are exact for every query.

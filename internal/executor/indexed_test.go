@@ -232,3 +232,29 @@ func TestLargeCorpusIndexedSmoke(t *testing.T) {
 	t.Logf("visited %d of %d candidates (%d leaves, %d scored)",
 		st.Visited, st.Candidates, st.Leaves, st.Scored)
 }
+
+// TestIndexStatsPinned fixes how much of a separated corpus the index skips
+// for one query on one worker and one shard, where traversal order — and
+// with it every counter — is deterministic. A change here means the
+// traversal, the leaf scoring order or the floor updates changed, which
+// moves the visited and scored fractions the benchmarks report.
+func TestIndexStatsPinned(t *testing.T) {
+	series := gen.DriftPeaksSeries(2000, 32, 8, 3)
+	opts := DefaultOptions()
+	opts.Algorithm = AlgSegmentTree
+	opts.Parallelism = 1
+	opts.K = 20
+	opts.Pruning = true
+	plan, err := Compile(regexlang.MustParse("u ; d ; u"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st IndexStats
+	if _, err := plan.RunIndexedStatsContext(context.Background(), BuildVizIndex(plan.GroupSeries(series), 1), &st); err != nil {
+		t.Fatal(err)
+	}
+	want := IndexStats{Candidates: 2000, Leaves: 9, Visited: 528, Scored: 232}
+	if st != want {
+		t.Fatalf("IndexStats = %+v, want %+v", st, want)
+	}
+}

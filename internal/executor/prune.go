@@ -149,10 +149,9 @@ func soundUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) flo
 // and — for pin-free chains — the whole chain bound per distinct bound
 // group, so alternatives with provably identical bounds (same unit-count
 // and (signature, weight) multiset; the bound is order-free within a fuzzy
-// run) derive it once. Single-query bounding resets per (candidate, query);
-// batch execution (runMulti) resets once per candidate and lets the caches
-// compose across queries — signature and bound-group ids are batch-global,
-// so the keys stay unambiguous.
+// run) derive it once. The pipeline's bound stage resets once per
+// candidate and lets the caches compose across its queries — signature and
+// bound-group ids are batch-global, so the keys stay unambiguous.
 func (ec *evalCtx) resetBoundCaches(meta *chainMeta) {
 	ec.ubSpanKeys = ec.ubSpanKeys[:0]
 	ec.ubSpanLo = ec.ubSpanLo[:0]
