@@ -228,6 +228,11 @@ func TestIndexConcurrentAppendExtract(t *testing.T) {
 		deltas[i] = randomDelta(rand.New(rand.NewSource(int64(100+i))), 1+i%7)
 	}
 	spec := ExtractSpec{Z: "zs", X: "x", Y: "y", Agg: AggAvg}
+	// String Eq filters: the first extraction using them builds the
+	// posting lists of both columns, racing the appends that extend them.
+	eqSpec := ExtractSpec{Z: "zs", X: "x", Y: "y", Agg: AggAvg, Filters: []Filter{
+		{Col: "fstr", Op: Eq, Str: "b"}, {Col: "zs", Op: Eq, Str: "z03"},
+	}}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -250,6 +255,10 @@ func TestIndexConcurrentAppendExtract(t *testing.T) {
 				}
 				if _, err := ix.ExtractGroups(spec, []string{"z00", "z07"}); err != nil {
 					t.Errorf("extract groups: %v", err)
+					return
+				}
+				if _, err := ix.Extract(eqSpec); err != nil {
+					t.Errorf("extract with Eq filters: %v", err)
 					return
 				}
 			}

@@ -23,13 +23,16 @@ type kernel func(sel []uint64, first bool)
 // CompileFilters validates the filter conjunction against the table —
 // column existence and operator/type compatibility, with the same error
 // messages as the legacy per-row path — and compiles it into vectorized
-// kernels. Filters on dictionary-encoded string columns compare integer
-// codes when an encoding is supplied via enc (may be nil).
+// kernels. When an encoding is supplied via enc (may be nil), string
+// predicates use the dictionary: Eq sets its bits from the value's posting
+// list and Ne compares integer codes. Posting kernels run first, so every
+// later kernel skips the words they left all-zero.
 func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*FilterProgram, error) {
 	if len(filters) == 0 {
 		return nil, nil
 	}
 	p := &FilterProgram{rows: t.NumRows()}
+	var scans []kernel
 	for _, f := range filters {
 		ci, ok := t.byName[f.Col]
 		if !ok {
@@ -44,14 +47,19 @@ func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*
 			if enc != nil {
 				e = enc(ci)
 			}
-			p.kernels = append(p.kernels, stringKernel(c.Strings, e, f.Op, f.Str))
+			if e != nil && f.Op == Eq {
+				p.kernels = append(p.kernels, postingKernel(e, f.Str))
+			} else {
+				scans = append(scans, stringKernel(c.Strings, e, f.Op, f.Str))
+			}
 			continue
 		}
 		if f.Op < Eq || f.Op > Ge {
 			return nil, fmt.Errorf("dataset: unknown operator %d", int(f.Op))
 		}
-		p.kernels = append(p.kernels, floatKernel(c.Floats, f.Op, f.Num))
+		scans = append(scans, floatKernel(c.Floats, f.Op, f.Num))
 	}
+	p.kernels = append(p.kernels, scans...)
 	return p, nil
 }
 
@@ -92,28 +100,51 @@ func floatKernel(vals []float64, op FilterOp, num float64) kernel {
 	}
 }
 
+// postingKernel selects the rows holding one dictionary value, straight
+// from the value's posting list: O(matching rows) to fill the bitmap, and a
+// merge over the list's words to intersect it. A value absent from the
+// dictionary matches nothing.
+func postingKernel(e *zEncoding, str string) kernel {
+	return func(sel []uint64, first bool) {
+		var rows []int32
+		if code, present := e.lookup(str); present {
+			rows = e.rowsOf(code)
+		}
+		if first {
+			for _, r := range rows {
+				sel[r>>6] |= 1 << (uint(r) & 63)
+			}
+			return
+		}
+		w := 0
+		for i := 0; i < len(rows); {
+			rw := int(rows[i] >> 6)
+			clear(sel[w:rw])
+			var word uint64
+			for ; i < len(rows) && int(rows[i]>>6) == rw; i++ {
+				word |= 1 << (uint(rows[i]) & 63)
+			}
+			sel[rw] &= word
+			w = rw + 1
+		}
+		clear(sel[w:])
+	}
+}
+
 // stringKernel compares a string column against a constant. With a
-// dictionary encoding the comparison is one integer equality per row (a
-// constant value not in the dictionary short-circuits: Eq matches nothing,
-// Ne everything); without, it falls back to string comparison.
+// dictionary encoding (Ne only: Eq runs as a postingKernel) the comparison
+// is one integer inequality per row, and a constant not in the dictionary
+// matches everything; without, it falls back to string comparison.
 func stringKernel(vals []string, e *zEncoding, op FilterOp, str string) kernel {
 	return func(sel []uint64, first bool) {
 		if e != nil {
 			code, present := e.lookup(str)
 			if !present {
-				if op == Eq {
-					applyWords(sel, first, len(vals), func(int) bool { return false })
-				} else {
-					applyWords(sel, first, len(vals), func(int) bool { return true })
-				}
+				applyWords(sel, first, len(vals), func(int) bool { return true })
 				return
 			}
 			codes := e.codes
-			if op == Eq {
-				applyWords(sel, first, len(codes), func(i int) bool { return codes[i] == code })
-			} else {
-				applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
-			}
+			applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
 			return
 		}
 		if op == Eq {

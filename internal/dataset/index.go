@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -22,12 +23,18 @@ import (
 //     sorts, and XRange restriction a binary search inside each group.
 //     Layouts are built on first use and memoized, so repeated
 //     distinct-filter queries over one chart (the candidate-cache-miss
-//     traffic) pay the sort once.
+//     traffic) pay the sort once;
+//   - per string column ever Eq-filtered, posting lists: each code's rows
+//     in ascending order (~4 bytes per row), built on the column's first
+//     Eq filter.
 //
 // Filters run as vectorized kernels into a selection bitmap (see
 // CompileFilters) instead of the legacy per-row checked Filter.matches.
-// Index.Extract returns Series identical — float-bit-for-bit — to the
-// legacy Extract over the same table and spec.
+// Filters on the spec's own x column that are closed windows fold into
+// the XRanges instead, and a selection visits only the groups its rows
+// touch, so a selective extraction costs its selected rows and touched
+// groups, not the table. Index.Extract returns Series identical —
+// float-bit-for-bit — to the legacy Extract over the same table and spec.
 //
 // An Index is safe for concurrent use. The indexed table is NOT immutable:
 // Append grows it (and every built encoding and layout) in place under the
@@ -37,8 +44,8 @@ type Index struct {
 
 	// dataMu orders Append (writer) against extraction and lazy builds
 	// (readers): every derived structure — table columns, dictionaries,
-	// permutation layouts — is read or lazily built under the read lock and
-	// extended only under the write lock.
+	// posting lists, permutation layouts — is read or lazily built under
+	// the read lock and extended only under the write lock.
 	dataMu sync.RWMutex
 
 	// enc[ci] is the grouping encoding of column ci; string columns are
@@ -69,6 +76,12 @@ type zEncoding struct {
 	codes []uint32 // row -> code, append-only
 	dict  []string // code -> rendered value, append-only
 	order []uint32 // codes in ascending dict-value order
+
+	// postings[code] lists the rows holding code, ascending. Built on the
+	// column's first Eq filter (under the index's read lock, like the
+	// (z, x) layouts) and extended by Append.
+	postOnce sync.Once
+	postings [][]int32
 }
 
 // lookup returns the code of a rendered value.
@@ -80,11 +93,37 @@ func (e *zEncoding) lookup(v string) (uint32, bool) {
 	return 0, false
 }
 
+// rowsOf returns the posting list of a code, building every code's list
+// on first use: one counting pass, then one exactly-sized backing array
+// sliced per code, so each list can later grow on its own.
+func (e *zEncoding) rowsOf(code uint32) []int32 {
+	e.postOnce.Do(func() {
+		counts := make([]int, len(e.dict))
+		for _, c := range e.codes {
+			counts[c]++
+		}
+		backing := make([]int32, len(e.codes))
+		post := make([][]int32, len(e.dict))
+		off := 0
+		for c, n := range counts {
+			post[c] = backing[off : off : off+n]
+			off += n
+		}
+		for row, c := range e.codes {
+			post[c] = append(post[c], int32(row))
+		}
+		e.postings = post
+	})
+	return e.postings[code]
+}
+
 // extend assigns codes to appended rendered values: known values reuse
 // their code, unseen values get fresh codes at the end of the dictionary,
 // and the value-order view is re-sorted once (O(d log d) in the distinct
-// count, independent of the existing row count).
+// count, independent of the existing row count). Built posting lists take
+// the appended rows in O(delta).
 func (e *zEncoding) extend(rendered []string) {
+	base := len(e.codes)
 	var added map[string]uint32
 	for _, v := range rendered {
 		code, ok := e.lookup(v)
@@ -107,6 +146,14 @@ func (e *zEncoding) extend(rendered []string) {
 			e.order = append(e.order, code)
 		}
 		sort.Slice(e.order, func(a, b int) bool { return e.dict[e.order[a]] < e.dict[e.order[b]] })
+	}
+	if e.postings != nil {
+		for len(e.postings) < len(e.dict) {
+			e.postings = append(e.postings, nil)
+		}
+		for i, c := range e.codes[base:] {
+			e.postings[c] = append(e.postings[c], int32(base+i))
+		}
 	}
 }
 
@@ -204,8 +251,8 @@ func (ix *Index) encoding(ci int) *zEncoding {
 	return e.enc
 }
 
-// builtEncoding returns the encoding for column ci only if it has already
-// been built (used by filter compilation, which must not pay an encoding
+// builtEncoding returns the encoding for column ci only if it is built
+// eagerly (used by filter compilation, which must not pay an encoding
 // build for a column that is merely filtered on).
 func (ix *Index) builtEncoding(ci int) *zEncoding {
 	e := ix.enc[ci]
@@ -385,8 +432,9 @@ func validateAppendSchema(t, delta *Table) error {
 
 // Extract is the index-backed EXTRACT: filters run as vectorized kernels
 // into a selection bitmap, grouping walks the memoized (z, x) groups in
-// value order, and XRanges narrow each group by binary search. Output is
-// identical to the legacy Extract(t, spec).
+// value order — only those holding a selected row when a bitmap exists —
+// and XRanges narrow each group by binary search. Output is identical to
+// the legacy Extract(t, spec).
 func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	ix.dataMu.RLock()
 	defer ix.dataMu.RUnlock()
@@ -394,9 +442,13 @@ func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	if err != nil || st == nil {
 		return []Series{}, err
 	}
-	series := make([]Series, 0, len(st.enc.order))
+	codes := st.enc.order
+	if st.sel != nil {
+		codes = st.touchedCodes()
+	}
+	series := make([]Series, 0, len(codes))
 	var pts []point // scratch, reused across groups
-	for _, code := range st.enc.order {
+	for _, code := range codes {
 		g := st.p.groups[code]
 		if g == nil || len(g.rows) == 0 {
 			continue
@@ -466,9 +518,9 @@ type extractCtx struct {
 }
 
 // extractState resolves a spec into an extractCtx: attribute resolution,
-// filter compilation and the one vectorized filter pass, range
-// normalization, and the lazy encoding/layout builds. A nil state (with
-// nil error) means the spec's XRanges exclude everything. Caller holds
+// x-filter folding, filter compilation and the one vectorized filter pass,
+// range normalization, and the lazy encoding/layout builds. A nil state
+// (with nil error) means the windows exclude everything. Caller holds
 // dataMu.
 func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	t := ix.t
@@ -478,12 +530,15 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	}
 	zi := t.byName[spec.Z]
 	xi := t.byName[spec.X]
-	prog, err := CompileFilters(t, spec.Filters, ix.builtEncoding)
+	// Folded filters sit on the validated numeric x column with a numeric
+	// operator, so they cannot fail compilation: compiling the rest
+	// reports exactly the errors compiling all of them would.
+	ranges, filters := foldXFilters(spec)
+	prog, err := CompileFilters(t, filters, ix.builtEncoding)
 	if err != nil {
 		return nil, err
 	}
-	ranges := normalizeRanges(spec.XRanges)
-	if len(spec.XRanges) > 0 && len(ranges) == 0 {
+	if ranges != nil && len(ranges) == 0 {
 		return nil, nil // only empty windows: nothing can match
 	}
 	var sel []uint64
@@ -496,6 +551,31 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 		xs:  xc.Floats, ys: yc.Floats,
 		sel: sel, ranges: ranges,
 	}, nil
+}
+
+// touchedCodes lists, in value order, the z codes of the selected rows:
+// one pass over the bitmap's set bits, so a selective filter visits its
+// selected rows and touched groups instead of every group.
+func (st *extractCtx) touchedCodes() []uint32 {
+	touched := make([]bool, len(st.enc.dict))
+	n := 0
+	for w, word := range st.sel {
+		for word != 0 {
+			c := st.enc.codes[w<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			if !touched[c] {
+				touched[c] = true
+				n++
+			}
+		}
+	}
+	codes := make([]uint32, 0, n)
+	for _, c := range st.enc.order {
+		if touched[c] {
+			codes = append(codes, c)
+		}
+	}
+	return codes
 }
 
 // extractGroup renders one z group's Series from its sorted row list; both
@@ -571,6 +651,45 @@ func searchRunXAfter(rows []int32, xs []float64, start, end int, v float64) int 
 	return start + sort.Search(end-start, func(k int) bool {
 		return xs[rows[start+k]] > v
 	})
+}
+
+// foldXFilters turns the filters on the spec's own x column that are
+// closed windows — Ge, Le or Eq against a non-NaN constant — into window
+// bounds: the normalized XRanges (or the whole axis, when there are none)
+// are clipped to their intersection, and the remaining filters are
+// returned for the kernels. Row semantics are unchanged: a row passes a
+// folded filter exactly when its x lies in the clipped window, and NaN-x
+// rows fail both. Ranges follow normalizeRanges' nil/empty convention.
+func foldXFilters(spec ExtractSpec) ([][2]float64, []Filter) {
+	ranges := normalizeRanges(spec.XRanges)
+	lo, hi := math.Inf(-1), math.Inf(1)
+	var rest []Filter
+	for _, f := range spec.Filters {
+		if f.Col != spec.X || math.IsNaN(f.Num) || (f.Op != Ge && f.Op != Le && f.Op != Eq) {
+			rest = append(rest, f)
+			continue
+		}
+		if f.Op != Le {
+			lo = max(lo, f.Num)
+		}
+		if f.Op != Ge {
+			hi = min(hi, f.Num)
+		}
+	}
+	if len(rest) == len(spec.Filters) {
+		return ranges, spec.Filters
+	}
+	if ranges == nil {
+		ranges = [][2]float64{{lo, hi}}
+	}
+	clipped := make([][2]float64, 0, len(ranges))
+	for _, r := range ranges {
+		r[0], r[1] = max(r[0], lo), min(r[1], hi)
+		if r[0] <= r[1] {
+			clipped = append(clipped, r)
+		}
+	}
+	return clipped, rest
 }
 
 // normalizeRanges drops empty windows (start > end, or any NaN bound) and

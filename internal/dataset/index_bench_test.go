@@ -139,3 +139,61 @@ func BenchmarkExtractXRange(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkExtractSelective is the drilldown request shape: a category Eq
+// filter keeping 1 in 25 series plus an x window of 40-99 points passed as
+// Ge/Le filters on x, over a warmed layout. The indexed path reads the
+// category's posting list, walks only the touched groups and binary-searches
+// the folded window; the legacy path tests every row.
+func BenchmarkExtractSelective(b *testing.B) {
+	const series, points, cats = 2500, 100, 25
+	rng := rand.New(rand.NewSource(5))
+	rows := series * points
+	zs, cs := make([]string, 0, rows), make([]string, 0, rows)
+	xs, ys := make([]float64, 0, rows), make([]float64, 0, rows)
+	for s := 0; s < series; s++ {
+		z, cat := fmt.Sprintf("series-%04d", s), fmt.Sprintf("cat%02d", s%cats)
+		for i := 0; i < points; i++ {
+			zs, cs = append(zs, z), append(cs, cat)
+			xs, ys = append(xs, float64(i)), append(ys, rng.NormFloat64())
+		}
+	}
+	tbl, err := New(
+		Column{Name: "z", Type: String, Strings: zs},
+		Column{Name: "cat", Type: String, Strings: cs},
+		Column{Name: "x", Type: Float, Floats: xs},
+		Column{Name: "y", Type: Float, Floats: ys},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := make([]ExtractSpec, 64)
+	for i := range specs {
+		w := 40 + rng.Intn(60)
+		lo := rng.Intn(points - w + 1)
+		specs[i] = ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{
+			{Col: "cat", Op: Eq, Str: fmt.Sprintf("cat%02d", rng.Intn(cats))},
+			{Col: "x", Op: Ge, Num: float64(lo)},
+			{Col: "x", Op: Le, Num: float64(lo + w - 1)},
+		}}
+	}
+	ix := BuildIndex(tbl)
+	// Warm the (z, x) layout and the category's posting lists.
+	if _, err := ix.Extract(specs[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Legacy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Extract(tbl, specs[i%len(specs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Indexed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.Extract(specs[i%len(specs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

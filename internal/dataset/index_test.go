@@ -136,6 +136,151 @@ func TestIndexedExtractMatchesLegacy(t *testing.T) {
 	}
 }
 
+// selectiveSpec draws a spec aimed at the selective extraction paths:
+// filters on the x column with every operator (NaN and infinite constants
+// included), Eq/Ne on fstr and on the string z with values drawn from
+// strs (present or absent), plus float-column noise, in random order, with
+// or without XRanges.
+func selectiveSpec(rng *rand.Rand, strs []string) ExtractSpec {
+	spec := ExtractSpec{Z: "zs", X: "x", Y: "y", Agg: Agg(rng.Intn(6))}
+	if rng.Intn(3) == 0 {
+		spec.Z = "zf"
+	}
+	for n := rng.Intn(5); n > 0; n-- {
+		switch rng.Intn(5) {
+		case 0, 1:
+			num := float64(rng.Intn(28)) - 3
+			switch rng.Intn(10) {
+			case 0:
+				num = math.NaN()
+			case 1:
+				num = math.Inf(2*rng.Intn(2) - 1)
+			}
+			spec.Filters = append(spec.Filters, Filter{Col: "x", Op: FilterOp(rng.Intn(6)), Num: num})
+		case 2, 3:
+			col := "fstr"
+			if rng.Intn(2) == 0 {
+				col = "zs"
+			}
+			op := Eq
+			if rng.Intn(3) == 0 {
+				op = Ne
+			}
+			spec.Filters = append(spec.Filters, Filter{Col: col, Op: op, Str: strs[rng.Intn(len(strs))]})
+		case 4:
+			spec.Filters = append(spec.Filters, Filter{Col: "fnum", Op: FilterOp(rng.Intn(6)), Num: float64(rng.Intn(10))})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			a := float64(rng.Intn(26)) - 2
+			b := a + float64(rng.Intn(12)) - 2 // sometimes inverted (empty window)
+			spec.XRanges = append(spec.XRanges, [2]float64{a, b})
+		}
+	}
+	return spec
+}
+
+// TestIndexedExtractSelectiveMatchesLegacy is the equivalence property for
+// the selective extraction paths — posting-list Eq kernels, the
+// touched-group walk and x filters folded into windows — with appends
+// interleaved: each append brings dictionary values never seen before,
+// which the following specs Eq-filter, so posting lists built earlier must
+// have absorbed them. Every result, error text included, must equal the
+// legacy Extract over the concatenated table.
+func TestIndexedExtractSelectiveMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 150; iter++ {
+		tbl := randomTable(rng)
+		parts := []*Table{copyTable(tbl)}
+		ix := BuildIndex(tbl)
+		strs := []string{"a", "b", "c", "d", "e", "z00", "z03", "z07", "z11", "z13"}
+		for step := 0; step < 4; step++ {
+			if step > 0 {
+				delta := randomDelta(rng, 1+rng.Intn(25))
+				fresh := []string{fmt.Sprintf("s%d", step), fmt.Sprintf("n%02d", step)}
+				for i := range delta.cols[0].Strings {
+					if rng.Intn(3) == 0 {
+						delta.cols[5].Strings[i] = fresh[0]
+					}
+					if rng.Intn(3) == 0 {
+						delta.cols[0].Strings[i] = fresh[1]
+					}
+				}
+				strs = append(strs, fresh...)
+				if err := ix.Append(delta); err != nil {
+					t.Fatalf("iter %d step %d: append: %v", iter, step, err)
+				}
+				parts = append(parts, delta)
+			}
+			truth, err := Concat(parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := []ExtractSpec{{
+				// Eq on the newest values of both string columns, so every
+				// posting list exists before the next append.
+				Z: "zs", X: "x", Y: "y", Agg: AggAvg,
+				Filters: []Filter{
+					{Col: "fstr", Op: Eq, Str: strs[len(strs)-2]},
+					{Col: "zs", Op: Eq, Str: strs[len(strs)-1]},
+				},
+			}}
+			for q := 0; q < 6; q++ {
+				specs = append(specs, selectiveSpec(rng, strs))
+			}
+			for si, spec := range specs {
+				legacy, lerr := Extract(truth, spec)
+				indexed, xerr := ix.Extract(spec)
+				if (lerr == nil) != (xerr == nil) {
+					t.Fatalf("iter %d step %d spec %d %+v: legacy err %v, indexed err %v", iter, step, si, spec, lerr, xerr)
+				}
+				if lerr != nil {
+					if lerr.Error() != xerr.Error() {
+						t.Fatalf("iter %d step %d spec %d %+v: error mismatch:\nlegacy:  %v\nindexed: %v",
+							iter, step, si, spec, lerr, xerr)
+					}
+					continue
+				}
+				assertSeriesIdentical(t, legacy, indexed)
+			}
+		}
+	}
+}
+
+// TestFoldXFilters pins the x-filter folding: Ge/Le/Eq with non-NaN
+// constants clip the windows, everything else stays a kernel filter.
+func TestFoldXFilters(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		filters []Filter
+		xr      [][2]float64
+		want    [][2]float64
+		rest    int
+	}{
+		{nil, nil, nil, 0},
+		{[]Filter{{Col: "x", Op: Ge, Num: 3}}, nil, [][2]float64{{3, inf}}, 0},
+		{[]Filter{{Col: "x", Op: Ge, Num: 3}, {Col: "x", Op: Le, Num: 9}}, nil, [][2]float64{{3, 9}}, 0},
+		{[]Filter{{Col: "x", Op: Eq, Num: 4}}, [][2]float64{{0, 2}, {3, 8}}, [][2]float64{{4, 4}}, 0},
+		{[]Filter{{Col: "x", Op: Le, Num: 5}}, [][2]float64{{0, 2}, {3, 8}}, [][2]float64{{0, 2}, {3, 5}}, 0},
+		{[]Filter{{Col: "x", Op: Ge, Num: 9}, {Col: "x", Op: Le, Num: 1}}, nil, [][2]float64{}, 0},
+		{[]Filter{{Col: "x", Op: Ge, Num: math.NaN()}, {Col: "x", Op: Lt, Num: 3},
+			{Col: "x", Op: Ne, Num: 3}, {Col: "y", Op: Ge, Num: 3}}, nil, nil, 4},
+	}
+	for _, c := range cases {
+		got, rest := foldXFilters(ExtractSpec{X: "x", Filters: c.filters, XRanges: c.xr})
+		if (got == nil) != (c.want == nil) || len(got) != len(c.want) || len(rest) != c.rest {
+			t.Errorf("fold(%+v, %v) = %v, %d rest; want %v, %d rest", c.filters, c.xr, got, len(rest), c.want, c.rest)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("fold(%+v, %v) = %v, want %v", c.filters, c.xr, got, c.want)
+			}
+		}
+	}
+}
+
 // TestIndexedExtractErrors mirrors the legacy validation errors through the
 // indexed path.
 func TestIndexedExtractErrors(t *testing.T) {

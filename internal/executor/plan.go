@@ -39,7 +39,6 @@ type Plan struct {
 // pre-normalizes nested sub-queries, and checks user-defined pattern
 // references — everything that previously ran per SearchSeries call.
 func Compile(q shape.Query, opts Options) (*Plan, error) {
-	o := opts.normalized()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,7 +46,25 @@ func Compile(q shape.Query, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compile(q, norm, opts)
+}
+
+// CompileNormalized is Compile for a caller that has already normalized
+// the query (norm must be shape.Normalize(q)), such as a plan cache that
+// normalizes once to derive its key: it validates q and compiles without
+// normalizing again.
+func CompileNormalized(q shape.Query, norm shape.Normalized, opts Options) (*Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return compile(q, norm, opts)
+}
+
+// compile builds the plan of a validated query from its normalized form.
+func compile(q shape.Query, norm shape.Normalized, opts Options) (*Plan, error) {
+	o := opts.normalized()
 	p := &Plan{opts: o, norm: norm}
+	var err error
 	p.pinned, p.allPinned = q.XRanges()
 	p.yConstrained = q.HasYConstraints()
 	switch o.Algorithm {

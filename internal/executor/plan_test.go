@@ -7,6 +7,7 @@ import (
 
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/regexlang"
+	"shapesearch/internal/shape"
 )
 
 func planSeries() []dataset.Series {
@@ -32,6 +33,54 @@ func TestCompileRejectsInvalidQueries(t *testing.T) {
 	bad.Algorithm = Algorithm(99)
 	if _, err := Compile(regexlang.MustParse("u ; d"), bad); err == nil {
 		t.Fatal("unknown algorithm must fail at Compile")
+	}
+}
+
+// TestCompileNormalizedMatchesCompile: compiling from an already
+// normalized query yields the plan Compile builds — same fingerprint, same
+// ranking — and still validates the query.
+func TestCompileNormalizedMatchesCompile(t *testing.T) {
+	series := planSeries()
+	opts := DefaultOptions()
+	opts.K = 5
+	for _, src := range []string{"u ; d", "u? ; d ; u?", "[p=up] ; [p=down]"} {
+		q := regexlang.MustParse(src)
+		norm, err := shape.Normalize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compile(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompileNormalized(q, norm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%s: fingerprint %q, want %q", src, got.Fingerprint(), want.Fingerprint())
+		}
+		wr, err := want.Run(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr, err := got.Run(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gr) != len(wr) {
+			t.Fatalf("%s: %d results, want %d", src, len(gr), len(wr))
+		}
+		for i := range wr {
+			if gr[i].Z != wr[i].Z || gr[i].Score != wr[i].Score {
+				t.Fatalf("%s: %d: %s %v != %s %v", src, i, gr[i].Z, gr[i].Score, wr[i].Z, wr[i].Score)
+			}
+		}
+	}
+	_, werr := Compile(shape.Query{}, opts)
+	_, gerr := CompileNormalized(shape.Query{}, shape.Normalized{}, opts)
+	if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+		t.Fatalf("empty query: Compile err %v, CompileNormalized err %v", werr, gerr)
 	}
 }
 

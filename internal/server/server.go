@@ -590,9 +590,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // compilePlan serves a compiled plan through the plan cache: the query is
-// normalized once to derive its fingerprint, and structurally identical
-// queries — however they were spelled, whatever front end parsed them —
-// share one compilation.
+// normalized once, both to derive its fingerprint and, on a miss, to
+// compile from, and structurally identical queries — however they were
+// spelled, whatever front end parsed them — share one compilation.
 func (s *Server) compilePlan(q shape.Query, opts executor.Options) (*executor.Plan, bool, error) {
 	norm, err := shape.Normalize(q)
 	if err != nil {
@@ -600,7 +600,7 @@ func (s *Server) compilePlan(q shape.Query, opts executor.Options) (*executor.Pl
 	}
 	key := planKey(norm.Fingerprint(), opts.Algorithm, opts.K, opts.Pruning)
 	return s.plans.get(key, func() (*executor.Plan, error) {
-		return executor.Compile(q, opts)
+		return executor.CompileNormalized(q, norm, opts)
 	})
 }
 
@@ -859,16 +859,20 @@ func algorithmByName(name string) (executor.Algorithm, error) {
 	}
 }
 
-// downsample thins a series to at most n points, keeping endpoints.
+// downsample thins a series to at most n points, keeping endpoints (only
+// the first point when n is 1). Indices are computed in integers, so the
+// last one is exactly len(x)-1 and they strictly increase.
 func downsample(x, y []float64, n int) ([]float64, []float64) {
 	if len(x) <= n {
 		return x, y
 	}
+	if n == 1 {
+		return x[:1], y[:1]
+	}
 	ox := make([]float64, 0, n)
 	oy := make([]float64, 0, n)
-	step := float64(len(x)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
-		j := int(float64(i) * step)
+		j := i * (len(x) - 1) / (n - 1)
 		ox = append(ox, x[j])
 		oy = append(oy, y[j])
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -272,23 +271,35 @@ func TestSearchWithFilterAndAlgorithms(t *testing.T) {
 	}
 }
 
+// TestDownsample pins downsample's contract: short series pass through,
+// and over every length in (n, 5000] for a spread of caps the result has
+// exactly n points, keeps the first and last points, and takes strictly
+// increasing source indices.
 func TestDownsample(t *testing.T) {
-	x := make([]float64, 1000)
-	y := make([]float64, 1000)
+	x := make([]float64, 5000)
 	for i := range x {
 		x[i] = float64(i)
-		y[i] = float64(i) * 2
 	}
-	dx, dy := downsample(x, y, 100)
-	if len(dx) != 100 || len(dy) != 100 {
-		t.Fatalf("len = %d, %d", len(dx), len(dy))
-	}
-	if dx[0] != 0 {
-		t.Fatal("first point must be kept")
-	}
-	sx, sy := downsample(x[:50], y[:50], 100)
-	if len(sx) != 50 || len(sy) != 50 {
+	if sx, sy := downsample(x[:50], x[:50], 100); len(sx) != 50 || len(sy) != 50 {
 		t.Fatal("short series should pass through")
 	}
-	_ = fmt.Sprintf("%v", dy)
+	for _, n := range []int{2, 3, 50, 100, 200} {
+		for size := n + 1; size <= len(x); size++ {
+			dx, dy := downsample(x[:size], x[:size], n)
+			if len(dx) != n || len(dy) != n {
+				t.Fatalf("len %d, n %d: got %d points", size, n, len(dx))
+			}
+			if dx[0] != 0 || dx[n-1] != float64(size-1) {
+				t.Fatalf("len %d, n %d: endpoints %v, %v; want 0, %d", size, n, dx[0], dx[n-1], size-1)
+			}
+			for i := 1; i < n; i++ {
+				if dx[i] <= dx[i-1] {
+					t.Fatalf("len %d, n %d: index %v follows %v", size, n, dx[i], dx[i-1])
+				}
+			}
+		}
+	}
+	if dx, _ := downsample([]float64{4, 5, 6}, []float64{1, 2, 3}, 1); len(dx) != 1 || dx[0] != 4 {
+		t.Fatalf("n=1: got %v, want [4]", dx)
+	}
 }
