@@ -61,7 +61,7 @@ func TestColumnLookup(t *testing.T) {
 
 func TestExtractBasic(t *testing.T) {
 	tbl := sampleTable(t)
-	series, err := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "sales"})
+	series, err := tbl.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestExtractBasic(t *testing.T) {
 
 func TestExtractFilters(t *testing.T) {
 	tbl := sampleTable(t)
-	series, err := Extract(tbl, ExtractSpec{
+	series, err := tbl.Extract(ExtractSpec{
 		Z: "product", X: "year", Y: "sales",
 		Filters: []Filter{{Col: "region", Op: Eq, Num: 2}},
 	})
@@ -91,7 +91,7 @@ func TestExtractFilters(t *testing.T) {
 		t.Fatalf("series = %+v", series)
 	}
 	// Range filter.
-	series, err = Extract(tbl, ExtractSpec{
+	series, err = tbl.Extract(ExtractSpec{
 		Z: "product", X: "year", Y: "sales",
 		Filters: []Filter{
 			{Col: "sales", Op: Gt, Num: 4},
@@ -106,7 +106,7 @@ func TestExtractFilters(t *testing.T) {
 		t.Fatalf("series = %+v", series)
 	}
 	// String filter.
-	series, err = Extract(tbl, ExtractSpec{
+	series, err = tbl.Extract(ExtractSpec{
 		Z: "product", X: "year", Y: "sales",
 		Filters: []Filter{{Col: "product", Op: Ne, Str: "a"}},
 	})
@@ -117,7 +117,7 @@ func TestExtractFilters(t *testing.T) {
 		t.Fatalf("series = %+v", series)
 	}
 	// Bad operator on string column.
-	if _, err := Extract(tbl, ExtractSpec{
+	if _, err := tbl.Extract(ExtractSpec{
 		Z: "product", X: "year", Y: "sales",
 		Filters: []Filter{{Col: "product", Op: Lt, Str: "a"}},
 	}); err == nil {
@@ -127,7 +127,7 @@ func TestExtractFilters(t *testing.T) {
 
 func TestExtractXRangePushdown(t *testing.T) {
 	tbl := sampleTable(t)
-	series, err := Extract(tbl, ExtractSpec{
+	series, err := tbl.Extract(ExtractSpec{
 		Z: "product", X: "year", Y: "sales",
 		XRanges: [][2]float64{{2, 3}},
 	})
@@ -151,7 +151,7 @@ func TestExtractAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duplicates without aggregation: error.
-	if _, err := Extract(tbl, ExtractSpec{Z: "city", X: "month", Y: "price"}); err == nil {
+	if _, err := tbl.Extract(ExtractSpec{Z: "city", X: "month", Y: "price"}); err == nil {
 		t.Fatal("duplicates without agg should error")
 	}
 	cases := []struct {
@@ -165,7 +165,7 @@ func TestExtractAggregation(t *testing.T) {
 		{AggCount, [2]float64{2, 2}},
 	}
 	for _, c := range cases {
-		series, err := Extract(tbl, ExtractSpec{Z: "city", X: "month", Y: "price", Agg: c.agg})
+		series, err := tbl.Extract(ExtractSpec{Z: "city", X: "month", Y: "price", Agg: c.agg})
 		if err != nil {
 			t.Fatalf("%v: %v", c.agg, err)
 		}
@@ -185,7 +185,7 @@ func TestExtractNumericZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Extract(tbl, ExtractSpec{Z: "id", X: "t", Y: "v"})
+	series, err := tbl.Extract(ExtractSpec{Z: "id", X: "t", Y: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestExtractSkipsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Extract(tbl, ExtractSpec{Z: "z", X: "x", Y: "y"})
+	series, err := tbl.Extract(ExtractSpec{Z: "z", X: "x", Y: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +214,16 @@ func TestExtractSkipsNaN(t *testing.T) {
 
 func TestExtractErrors(t *testing.T) {
 	tbl := sampleTable(t)
-	if _, err := Extract(tbl, ExtractSpec{Z: "nope", X: "year", Y: "sales"}); err == nil {
+	if _, err := tbl.Extract(ExtractSpec{Z: "nope", X: "year", Y: "sales"}); err == nil {
 		t.Error("missing z should error")
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "product", Y: "sales"}); err == nil {
+	if _, err := tbl.Extract(ExtractSpec{Z: "product", X: "product", Y: "sales"}); err == nil {
 		t.Error("string x should error")
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "product"}); err == nil {
+	if _, err := tbl.Extract(ExtractSpec{Z: "product", X: "year", Y: "product"}); err == nil {
 		t.Error("string y should error")
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "sales",
+	if _, err := tbl.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales",
 		Filters: []Filter{{Col: "ghost", Op: Eq}}}); err == nil {
 		t.Error("missing filter column should error")
 	}
@@ -273,8 +273,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.NumRows() != tbl.NumRows() || back.NumCols() != tbl.NumCols() {
 		t.Fatalf("round trip dims = %d x %d", back.NumRows(), back.NumCols())
 	}
-	s1, _ := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "sales"})
-	s2, _ := Extract(back, ExtractSpec{Z: "product", X: "year", Y: "sales"})
+	s1, _ := tbl.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales"})
+	s2, _ := back.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales"})
 	for i := range s1 {
 		if s1[i].Z != s2[i].Z || s1[i].Len() != s2[i].Len() {
 			t.Fatal("round trip series mismatch")
@@ -310,7 +310,7 @@ func TestFromJSON(t *testing.T) {
 	if err != nil || e.Type != Float {
 		t.Fatalf("expr column: %v", err)
 	}
-	series, err := Extract(tbl, ExtractSpec{Z: "gene", X: "hour", Y: "expr"})
+	series, err := tbl.Extract(ExtractSpec{Z: "gene", X: "hour", Y: "expr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,15 @@ package dataset
 import "fmt"
 
 // Vectorized filter kernels: a filter conjunction is validated and compiled
-// once per extraction into a FilterProgram, then applied over whole column
+// once per extraction into a filterProgram, then applied over whole column
 // slices into a selection bitmap — no per-row error checks or interface
-// dispatch in the hot loop, unlike the legacy Filter.matches path. The
-// bitmap is a []uint64 bitset with one bit per row.
+// dispatch in the hot loop. The bitmap is a []uint64 bitset with one bit
+// per row.
 
-// FilterProgram is a compiled, validated filter conjunction over one table.
-// Compile it once (CompileFilters), run it over the table's rows with Run.
-// A nil *FilterProgram selects every row.
-type FilterProgram struct {
+// filterProgram is a compiled, validated filter conjunction over one
+// indexed table (see Index.compileFilters). A nil *filterProgram selects
+// every row.
+type filterProgram struct {
 	kernels []kernel
 	rows    int
 }
@@ -20,18 +20,18 @@ type FilterProgram struct {
 // bitmap with one predicate's matches over the whole column.
 type kernel func(sel []uint64, first bool)
 
-// CompileFilters validates the filter conjunction against the table —
-// column existence and operator/type compatibility, with the same error
-// messages as the legacy per-row path — and compiles it into vectorized
-// kernels. When an encoding is supplied via enc (may be nil), string
-// predicates use the dictionary: Eq sets its bits from the value's posting
-// list and Ne compares integer codes. Posting kernels run first, so every
-// later kernel skips the words they left all-zero.
-func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*FilterProgram, error) {
+// compileFilters validates the filter conjunction against the indexed
+// table — column existence and operator/type compatibility — and compiles
+// it into vectorized kernels. String predicates use the column's
+// dictionary: Eq sets its bits from the value's posting list and Ne
+// compares integer codes. Posting kernels run first, so every later kernel
+// skips the words they left all-zero. Caller holds dataMu.
+func (ix *Index) compileFilters(filters []Filter) (*filterProgram, error) {
 	if len(filters) == 0 {
 		return nil, nil
 	}
-	p := &FilterProgram{rows: t.NumRows()}
+	t := ix.t
+	p := &filterProgram{rows: t.rows}
 	var scans []kernel
 	for _, f := range filters {
 		ci, ok := t.byName[f.Col]
@@ -40,17 +40,14 @@ func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*
 		}
 		c := &t.cols[ci]
 		if c.Type == String {
-			if f.Op != Eq && f.Op != Ne {
-				return nil, fmt.Errorf("dataset: operator %s not supported on string column %q", f.Op, f.Col)
-			}
-			var e *zEncoding
-			if enc != nil {
-				e = enc(ci)
-			}
-			if e != nil && f.Op == Eq {
+			e := ix.enc[ci].enc // string dictionaries are built eagerly
+			switch f.Op {
+			case Eq:
 				p.kernels = append(p.kernels, postingKernel(e, f.Str))
-			} else {
-				scans = append(scans, stringKernel(c.Strings, e, f.Op, f.Str))
+			case Ne:
+				scans = append(scans, neKernel(e, f.Str))
+			default:
+				return nil, fmt.Errorf("dataset: operator %s not supported on string column %q", f.Op, f.Col)
 			}
 			continue
 		}
@@ -63,8 +60,8 @@ func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*
 	return p, nil
 }
 
-// Run evaluates the program over all rows into a fresh selection bitmap.
-func (p *FilterProgram) Run() []uint64 {
+// run evaluates the program over all rows into a fresh selection bitmap.
+func (p *filterProgram) run() []uint64 {
 	sel := make([]uint64, (p.rows+63)/64)
 	for i, k := range p.kernels {
 		k(sel, i == 0)
@@ -131,27 +128,18 @@ func postingKernel(e *zEncoding, str string) kernel {
 	}
 }
 
-// stringKernel compares a string column against a constant. With a
-// dictionary encoding (Ne only: Eq runs as a postingKernel) the comparison
-// is one integer inequality per row, and a constant not in the dictionary
-// matches everything; without, it falls back to string comparison.
-func stringKernel(vals []string, e *zEncoding, op FilterOp, str string) kernel {
+// neKernel selects the rows of a dictionary-encoded string column whose
+// value differs from a constant: one integer inequality per row, and a
+// constant not in the dictionary matches everything.
+func neKernel(e *zEncoding, str string) kernel {
 	return func(sel []uint64, first bool) {
-		if e != nil {
-			code, present := e.lookup(str)
-			if !present {
-				applyWords(sel, first, len(vals), func(int) bool { return true })
-				return
-			}
-			codes := e.codes
-			applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
+		code, present := e.lookup(str)
+		if !present {
+			applyWords(sel, first, len(e.codes), func(int) bool { return true })
 			return
 		}
-		if op == Eq {
-			applyWords(sel, first, len(vals), func(i int) bool { return vals[i] == str })
-		} else {
-			applyWords(sel, first, len(vals), func(i int) bool { return vals[i] != str })
-		}
+		codes := e.codes
+		applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
 	}
 }
 

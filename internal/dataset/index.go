@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// Index is the columnar acceleration layer over a Table — the OLAP-style
-// physical design Section 5.1 assumes for EXTRACT. It holds
+// Index is the columnar physical design Section 5.1 assumes for EXTRACT,
+// and the one implementation of the operator. It holds
 //
 //   - dictionary encodings of grouping columns: each distinct rendered
 //     value gets an integer code, and a value-order view keeps extraction
@@ -29,12 +29,10 @@ import (
 //     Eq filter.
 //
 // Filters run as vectorized kernels into a selection bitmap (see
-// CompileFilters) instead of the legacy per-row checked Filter.matches.
-// Filters on the spec's own x column that are closed windows fold into
-// the XRanges instead, and a selection visits only the groups its rows
-// touch, so a selective extraction costs its selected rows and touched
-// groups, not the table. Index.Extract returns Series identical —
-// float-bit-for-bit — to the legacy Extract over the same table and spec.
+// compileFilters). Filters on the spec's own x column that are closed
+// windows fold into the XRanges instead, and a selection visits only the
+// groups its rows touch, so a selective extraction costs its selected rows
+// and touched groups, not the table.
 //
 // An Index is safe for concurrent use. The indexed table is NOT immutable:
 // Append grows it (and every built encoding and layout) in place under the
@@ -71,7 +69,7 @@ type lazyPerm struct {
 // is append-only — Append assigns fresh codes to unseen values without ever
 // re-encoding existing rows — so codes carry no order; the order view lists
 // codes by ascending rendered value and is what keeps extraction output
-// sorted the way legacy extraction sorts group names.
+// sorted by group name.
 type zEncoding struct {
 	codes []uint32 // row -> code, append-only
 	dict  []string // code -> rendered value, append-only
@@ -251,17 +249,6 @@ func (ix *Index) encoding(ci int) *zEncoding {
 	return e.enc
 }
 
-// builtEncoding returns the encoding for column ci only if it is built
-// eagerly (used by filter compilation, which must not pay an encoding
-// build for a column that is merely filtered on).
-func (ix *Index) builtEncoding(ci int) *zEncoding {
-	e := ix.enc[ci]
-	if ix.t.cols[ci].Type == String {
-		return e.enc // eager, always built
-	}
-	return nil
-}
-
 // perm returns the memoized (z, x) layout, building it on first use.
 func (ix *Index) perm(zi, xi int) *zxPerm {
 	key := permKey{zi, xi}
@@ -433,8 +420,7 @@ func validateAppendSchema(t, delta *Table) error {
 // Extract is the index-backed EXTRACT: filters run as vectorized kernels
 // into a selection bitmap, grouping walks the memoized (z, x) groups in
 // value order — only those holding a selected row when a bitmap exists —
-// and XRanges narrow each group by binary search. Output is identical to
-// the legacy Extract(t, spec).
+// and XRanges narrow each group by binary search.
 func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	ix.dataMu.RLock()
 	defer ix.dataMu.RUnlock()
@@ -534,7 +520,7 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	// operator, so they cannot fail compilation: compiling the rest
 	// reports exactly the errors compiling all of them would.
 	ranges, filters := foldXFilters(spec)
-	prog, err := CompileFilters(t, filters, ix.builtEncoding)
+	prog, err := ix.compileFilters(filters)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +529,7 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	}
 	var sel []uint64
 	if prog != nil {
-		sel = prog.Run()
+		sel = prog.run()
 	}
 	return &extractCtx{
 		enc: ix.encoding(zi),
@@ -619,8 +605,8 @@ func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts
 }
 
 // buildSeries aggregates one z group's points (already in (x, row) order)
-// into a Series, sharing the legacy path's aggregate helper and its
-// AggNone duplicate error.
+// into a Series; duplicate x values aggregate per spec.Agg, or fail under
+// AggNone.
 func buildSeries(z string, pts []point, spec ExtractSpec) (Series, error) {
 	s := Series{Z: z, X: make([]float64, 0, len(pts)), Y: make([]float64, 0, len(pts))}
 	for i := 0; i < len(pts); {

@@ -57,14 +57,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkIndexFirstExtract measures the cold path: index build plus the
-// first extraction, which also builds the (z, x) permutation. This is the
-// full price of switching a one-shot extraction to the indexed path.
+// first extraction, which also builds the (z, x) permutation. IndexedCold
+// is what a one-shot (*Table).Extract costs; Legacy is the row-at-a-time
+// reference scan it replaced.
 func BenchmarkIndexFirstExtract(b *testing.B) {
 	tbl := benchTable(500, 100)
 	spec := ExtractSpec{Z: "z", X: "x", Y: "y"}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, spec); err != nil {
+			if _, err := legacyExtract(tbl, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -81,8 +82,9 @@ func BenchmarkIndexFirstExtract(b *testing.B) {
 // BenchmarkExtractDistinctFilters is the cache-miss traffic the index
 // targets: repeated queries over one registered dataset whose filters vary
 // per query, so the server's exact-spec candidate cache never hits. The
-// legacy path re-renders z, re-hashes and re-sorts every group per query;
-// the indexed path pays a bitmap sweep and one pass over presorted runs.
+// legacy reference scan re-renders z, re-hashes and re-sorts every group
+// per query; the indexed path pays a bitmap sweep and one pass over
+// presorted runs.
 func BenchmarkExtractDistinctFilters(b *testing.B) {
 	tbl := benchTable(500, 100)
 	ix := BuildIndex(tbl)
@@ -101,7 +103,7 @@ func BenchmarkExtractDistinctFilters(b *testing.B) {
 	}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, specAt(i)); err != nil {
+			if _, err := legacyExtract(tbl, specAt(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -126,7 +128,7 @@ func BenchmarkExtractXRange(b *testing.B) {
 	}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, spec); err != nil {
+			if _, err := legacyExtract(tbl, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,7 +146,7 @@ func BenchmarkExtractXRange(b *testing.B) {
 // filter keeping 1 in 25 series plus an x window of 40-99 points passed as
 // Ge/Le filters on x, over a warmed layout. The indexed path reads the
 // category's posting list, walks only the touched groups and binary-searches
-// the folded window; the legacy path tests every row.
+// the folded window; the legacy reference scan tests every row.
 func BenchmarkExtractSelective(b *testing.B) {
 	const series, points, cats = 2500, 100, 25
 	rng := rand.New(rand.NewSource(5))
@@ -184,7 +186,7 @@ func BenchmarkExtractSelective(b *testing.B) {
 	}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, specs[i%len(specs)]); err != nil {
+			if _, err := legacyExtract(tbl, specs[i%len(specs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

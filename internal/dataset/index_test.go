@@ -111,8 +111,8 @@ func randomSpec(rng *rand.Rand) ExtractSpec {
 
 // TestIndexedExtractMatchesLegacy is the equivalence property test: for
 // random tables and specs (filters, aggs, XRanges, float and string z),
-// index-backed extraction returns series identical to the legacy Extract —
-// including which error, if any, is reported.
+// index-backed extraction returns series identical to the row-at-a-time
+// legacyExtract — including which error, if any, is reported.
 func TestIndexedExtractMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 400; iter++ {
@@ -120,7 +120,7 @@ func TestIndexedExtractMatchesLegacy(t *testing.T) {
 		ix := BuildIndex(tbl)
 		for q := 0; q < 4; q++ {
 			spec := randomSpec(rng)
-			legacy, lerr := Extract(tbl, spec)
+			legacy, lerr := legacyExtract(tbl, spec)
 			indexed, xerr := ix.Extract(spec)
 			if (lerr == nil) != (xerr == nil) {
 				t.Fatalf("iter %d spec %+v: legacy err %v, indexed err %v", iter, spec, lerr, xerr)
@@ -186,8 +186,8 @@ func selectiveSpec(rng *rand.Rand, strs []string) ExtractSpec {
 // touched-group walk and x filters folded into windows — with appends
 // interleaved: each append brings dictionary values never seen before,
 // which the following specs Eq-filter, so posting lists built earlier must
-// have absorbed them. Every result, error text included, must equal the
-// legacy Extract over the concatenated table.
+// have absorbed them. Every result, error text included, must equal
+// legacyExtract over the concatenated table.
 func TestIndexedExtractSelectiveMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 150; iter++ {
@@ -230,7 +230,7 @@ func TestIndexedExtractSelectiveMatchesLegacy(t *testing.T) {
 				specs = append(specs, selectiveSpec(rng, strs))
 			}
 			for si, spec := range specs {
-				legacy, lerr := Extract(truth, spec)
+				legacy, lerr := legacyExtract(truth, spec)
 				indexed, xerr := ix.Extract(spec)
 				if (lerr == nil) != (xerr == nil) {
 					t.Fatalf("iter %d step %d spec %d %+v: legacy err %v, indexed err %v", iter, step, si, spec, lerr, xerr)
@@ -324,7 +324,7 @@ func TestIndexConcurrentExtract(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				spec := specs[(w+i)%len(specs)]
-				legacy, lerr := Extract(tbl, spec)
+				legacy, lerr := legacyExtract(tbl, spec)
 				indexed, xerr := ix.Extract(spec)
 				if lerr != nil || xerr != nil {
 					t.Errorf("unexpected error: %v / %v", lerr, xerr)
@@ -387,11 +387,11 @@ func TestFilterProgram(t *testing.T) {
 	}
 	ix := BuildIndex(tbl)
 	count := func(filters ...Filter) int {
-		prog, err := CompileFilters(tbl, filters, ix.builtEncoding)
+		prog, err := ix.compileFilters(filters)
 		if err != nil {
-			t.Fatalf("CompileFilters(%+v): %v", filters, err)
+			t.Fatalf("compileFilters(%+v): %v", filters, err)
 		}
-		sel := prog.Run()
+		sel := prog.run()
 		n := 0
 		for i := 0; i < rows; i++ {
 			if selected(sel, i) {
@@ -437,17 +437,17 @@ func TestFilterProgram(t *testing.T) {
 		}
 	}
 	// Validation errors surface at compile time.
-	if _, err := CompileFilters(tbl, []Filter{{Col: "s", Op: Gt, Str: "a"}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "s", Op: Gt, Str: "a"}}); err == nil {
 		t.Error("Gt on string column should fail to compile")
 	}
-	if _, err := CompileFilters(tbl, []Filter{{Col: "ghost", Op: Eq}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "ghost", Op: Eq}}); err == nil {
 		t.Error("missing column should fail to compile")
 	}
-	if _, err := CompileFilters(tbl, []Filter{{Col: "v", Op: FilterOp(99)}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "v", Op: FilterOp(99)}}); err == nil {
 		t.Error("unknown operator should fail to compile")
 	}
 	// No filters: nil program selects everything.
-	prog, err := CompileFilters(tbl, nil, nil)
+	prog, err := ix.compileFilters(nil)
 	if err != nil || prog != nil {
 		t.Fatalf("empty filter program = %v, %v", prog, err)
 	}

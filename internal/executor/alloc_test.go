@@ -221,8 +221,7 @@ func TestSteadyStateAllocsQuantifier(t *testing.T) {
 
 // TestPooledKernelMatchesFreshContexts: reusing one evalCtx across many
 // candidates must give byte-identical scores and ranges to compiling each
-// chain in a fresh context (the pre-pooling behavior preserved by
-// compileChain).
+// chain in a fresh context.
 func TestPooledKernelMatchesFreshContexts(t *testing.T) {
 	series := allocSeries(12, 90)
 	for _, q := range []string{"u ; d ; u", "[p=up, m={2,}]", "u ; [p=down, x.s=20, x.e=60] ; u"} {
@@ -239,14 +238,8 @@ func TestPooledKernelMatchesFreshContexts(t *testing.T) {
 			// candidate, so no buffer ever carries state across candidates.
 			reused := newEvalCtx()
 			for vi, v := range vizs {
-				pooledSc, pooledRanges, err := evalViz(reused, v, plan.norm, plan.opts, plan.solver)
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshSc, freshRanges, err := evalViz(newEvalCtx(), v, plan.norm, plan.opts, plan.solver)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pooledSc, pooledRanges := evalViz(reused, v, plan.norm, plan.opts, plan.solver)
+				freshSc, freshRanges := evalViz(newEvalCtx(), v, plan.norm, plan.opts, plan.solver)
 				if pooledSc != freshSc {
 					t.Fatalf("%s/%v viz %d: pooled score %v != fresh score %v", q, alg, vi, pooledSc, freshSc)
 				}

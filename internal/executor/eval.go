@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"math"
 
 	"shapesearch/internal/score"
@@ -13,8 +12,7 @@ import (
 // exhaustive) decide which point range each unit covers; chainEval scores a
 // unit over a range, and combines unit scores into the chain score.
 type chainEval struct {
-	// ctx owns every scratch buffer the evaluation reuses; non-nil for any
-	// chainEval built through compile/compileChain.
+	// ctx owns every scratch buffer the evaluation reuses.
 	ctx   *evalCtx
 	viz   *Viz
 	chain shape.Chain
@@ -28,9 +26,9 @@ type chainEval struct {
 	// nil during the search pass (references provisionally score 1).
 	refSlopes []float64
 	// sigs holds each unit's interned signature id for the per-candidate
-	// unit-score memo; nil disables memoization (chains compiled without
-	// plan metadata, nested sub-queries, units containing POSITION
-	// references carry −1 individually). See Options.chainMeta.
+	// unit-score memo; nil disables memoization (nested sub-query chains;
+	// units containing POSITION references carry −1 individually). See
+	// Options.chainMeta.
 	sigs []int
 	// tolX and tolY are the location-satisfaction tolerances.
 	tolX, tolY float64
@@ -46,36 +44,30 @@ type compiledUnit struct {
 	// the side is free. pinErr marks pins that fall outside the data.
 	pinStart, pinEnd int
 	pinErr           bool
-	// nested holds pre-normalized sub-queries of PatNested segments,
-	// keyed by the sub-query root (stable across the segment copies the
-	// iterator path makes), compiled once per chain.
+	// nested holds sub-queries of PatNested segments that Compile did not
+	// pre-normalize (see evalNode), keyed by the sub-query root, normalized
+	// lazily once per chain.
 	nested map[*shape.Node]shape.Normalized
 }
 
 func (u *compiledUnit) pinned() bool { return u.pinStart >= 0 && u.pinEnd >= 0 }
 
-// compileChain prepares a chain for evaluation against a visualization in a
-// fresh evaluation context. The pipeline workers call (*evalCtx).compile
-// instead, which reuses one context's buffers across candidates.
-func compileChain(v *Viz, chain shape.Chain, opts *Options) (*chainEval, error) {
-	return newEvalCtx().compile(v, chain, opts)
-}
-
-// compile prepares a chain for evaluation against a visualization, reusing
-// the context's chainEval and unit buffer. Viz-derived quantities (y range,
-// amplitude unit, skipped-point prefix) come memoized from the Viz, and for
-// options that went through executor.Compile the per-unit validation walk
-// is skipped entirely — UDP resolution, nested sub-query normalization, and
-// iterator/sketch hoisting already happened once at plan compile time.
-func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) (*chainEval, error) {
+// compile prepares a chain without plan metadata for evaluation against a
+// visualization, reusing the context's chainEval and unit buffer: the path
+// of nested sub-query chains. Viz-derived quantities (y range, amplitude
+// unit, skipped-point prefix) come memoized from the Viz; validation — UDP
+// resolution, nested sub-query normalization, iterator/sketch hoisting —
+// already ran once, plan-wide, in executor.Compile.
+func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) *chainEval {
 	return ec.compileAlt(v, chain, opts, nil)
 }
 
 // compileAlt is compile with the alternative's plan-compiled metadata: the
 // pinned x endpoints hoisted out of the per-candidate path (no per-unit
 // tree walks) and the signature ids that key the unit-score memo. A nil
-// altMeta falls back to walking the units, with memoization off.
-func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altMeta) (*chainEval, error) {
+// altMeta (a nested sub-query chain) walks the units for their pins, with
+// memoization off.
+func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altMeta) *chainEval {
 	ce := &ec.ce
 	*ce = chainEval{ctx: ec, viz: v, chain: chain, opts: opts}
 	n := v.N()
@@ -118,50 +110,10 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 		if cu.pinStart >= 0 && cu.pinEnd >= 0 && cu.pinEnd <= cu.pinStart {
 			cu.pinErr = true
 		}
-		if !opts.compiled {
-			if err := validateUnit(&cu, u, opts); err != nil {
-				return nil, err
-			}
-		}
 		ec.units = append(ec.units, cu)
 	}
 	ce.units = ec.units
-	return ce, nil
-}
-
-// validateUnit is the per-unit walk for chains compiled outside a Plan
-// (direct compileChain construction in tests, dynamically built queries):
-// UDP references are resolved and nested sub-queries normalized, once per
-// chain. Plan-compiled options skip this — Compile did it once for all.
-func validateUnit(cu *compiledUnit, u shape.Unit, opts *Options) error {
-	var compileErr error
-	u.Node.Walk(func(m *shape.Node) {
-		if compileErr != nil || m.Kind != shape.NodeSegment {
-			return
-		}
-		seg := m.Seg
-		if seg.Pat.Kind == shape.PatUDP {
-			if _, ok := opts.UDPs.Lookup(seg.Pat.Name); !ok {
-				compileErr = fmt.Errorf("executor: unknown user-defined pattern %q", seg.Pat.Name)
-			}
-		}
-		if seg.Pat.Kind == shape.PatNested {
-			norm, ok := opts.nestedPre[seg.Pat.Sub]
-			if !ok {
-				var err error
-				norm, err = shape.Normalize(shape.Query{Root: seg.Pat.Sub})
-				if err != nil {
-					compileErr = err
-					return
-				}
-			}
-			if cu.nested == nil {
-				cu.nested = make(map[*shape.Node]shape.Normalized)
-			}
-			cu.nested[seg.Pat.Sub] = norm
-		}
-	})
-	return compileErr
+	return ce
 }
 
 // anySkipped reports whether inclusive point range [i, j] touches a point
@@ -448,10 +400,11 @@ func (ce *chainEval) evalPattern(cu *compiledUnit, n *shape.Node, t, i, j int) f
 		}
 		return score.Clamp(fn(v.Series.X[i:j+1], v.Series.Y[i:j+1]))
 	case shape.PatNested:
-		norm, ok := cu.nested[seg.Pat.Sub]
+		// Sub-queries reachable from the plan were normalized once at
+		// Compile.
+		norm, ok := ce.opts.nestedPre[seg.Pat.Sub]
 		if !ok {
-			// Plan-compiled sub-queries were normalized once at Compile.
-			norm, ok = ce.opts.nestedPre[seg.Pat.Sub]
+			norm, ok = cu.nested[seg.Pat.Sub]
 		}
 		if !ok {
 			// Nested sub-queries reached through copied segments (e.g.
@@ -544,10 +497,7 @@ func (ce *chainEval) evalNested(norm shape.Normalized, i, j int) float64 {
 	child := ce.ctx.childCtx()
 	best := score.WorstScore
 	for _, alt := range norm.Alternatives {
-		sub, err := child.compile(ce.viz, alt, ce.opts)
-		if err != nil {
-			continue
-		}
+		sub := child.compile(ce.viz, alt, ce.opts)
 		sub.skippedPrefix = ce.skippedPrefix
 		// Coarse candidate grid keeps nested evaluation near-linear.
 		stride := (j - i) / 32

@@ -104,8 +104,8 @@ type Options struct {
 	DisableAutoIndex bool
 
 	// nestedPre holds nested sub-queries pre-normalized at Compile time,
-	// keyed by sub-query root. Read-only after Compile; chain compilation
-	// consults it before normalizing lazily.
+	// keyed by sub-query root. Read-only after Compile; nested-pattern
+	// scoring consults it before normalizing lazily.
 	nestedPre map[*shape.Node]shape.Normalized
 	// iterInner holds, per ITERATOR segment node, the pre-built inner
 	// segment node the sliding window evaluates (LOCATION reduced to the y
@@ -115,15 +115,10 @@ type Options struct {
 	// sketchQY holds, per sketch segment node, the query's y values —
 	// query-static, hoisted out of evalSegment. Read-only after Compile.
 	sketchQY map[*shape.Node][]float64
-	// compiled marks options that went through Compile: per-viz chain
-	// compilation skips the validation walk (UDP resolution and nested
-	// normalization already ran once, plan-wide).
-	compiled bool
 	// chainMeta is the plan-wide alternative analysis (interned unit
 	// signatures, hoisted pins, k-grouped order, bound groups) driving
-	// shared-segmentation evaluation; nil for options built outside Compile,
-	// which fall back to the naive per-alternative loop. Read-only after
-	// Compile.
+	// shared-segmentation evaluation and the sound bounds. Compile sets it
+	// on every plan; read-only afterwards.
 	chainMeta *chainMeta
 	// pruneThresholdBias artificially inflates the stage-2 pruning
 	// threshold. Test-only: it forces over-pruning so the deferred
@@ -187,13 +182,14 @@ type Result struct {
 	Series dataset.Series
 }
 
-// Search extracts candidate visualizations from a data source (a bare
-// *dataset.Table or a *dataset.Index) per the visual parameters and ranks
-// them against the query: the full EXTRACT → GROUP → SEGMENT → SCORE
-// pipeline. For non-fuzzy queries with push-down enabled, LOCATION windows
-// are pushed into EXTRACT so rows outside every referenced x range are
-// never materialized (Section 5.4 (a)/(c); the paper re-adds the ignored
-// ranges only when plotting the top-k).
+// Search extracts candidate visualizations from a data source (a
+// *dataset.Index, or a bare *dataset.Table indexed for this one call) per
+// the visual parameters and ranks them against the query: the full
+// EXTRACT → GROUP → SEGMENT → SCORE pipeline. For non-fuzzy queries with
+// push-down enabled, LOCATION windows are pushed into EXTRACT so rows
+// outside every referenced x range are never materialized (Section 5.4
+// (a)/(c); the paper re-adds the ignored ranges only when plotting the
+// top-k).
 //
 // Search is a thin compatibility wrapper over Compile + Plan.Search;
 // callers issuing the same query repeatedly should compile once and reuse
@@ -250,16 +246,16 @@ func (o *Options) solver(norm shape.Normalized) (runSolver, error) {
 // segmentation). The winning assignment is copied out of the context's
 // scratch — it outlives the next candidate.
 //
-// With a compiled plan (o.chainMeta non-nil) the alternatives are evaluated
-// under shared-segmentation: unit scores memoize per candidate by interned
+// The alternatives are evaluated under shared-segmentation, driven by the
+// plan's chainMeta: unit scores memoize per candidate by interned
 // signature, alternatives run in unit-count groups so each (viz, k) group
 // shares one candidate grid / SegmentTree skeleton, and chain compilation
 // reads hoisted pins. Every alternative still gets its own exact solve —
 // only repeated sub-computations are shared — and ties between alternatives
 // resolve to the earliest in declaration order, so the result is
-// byte-identical to the naive per-alternative loop (the meta-nil path,
-// pinned by TestSharedEvalMatchesNaive).
-func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver) (float64, [][2]int, error) {
+// byte-identical to solving each alternative independently and keeping the
+// first best (pinned by TestSharedEvalMatchesNaive).
+func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver) (float64, [][2]int) {
 	return evalVizShared(ec, v, norm, o, solve, true)
 }
 
@@ -270,24 +266,10 @@ func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSo
 // query only, so later queries of the same candidate share every
 // (signature, range) score and every range fit already computed — signature
 // ids are batch-global, so shared entries are exact for every query.
-func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int, error) {
+func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int) {
 	meta := o.chainMeta
 	best := math.Inf(-1)
 	var bestRanges [][2]int
-	if meta == nil {
-		for _, alt := range norm.Alternatives {
-			ce, err := ec.compile(v, alt, o)
-			if err != nil {
-				return 0, nil, err
-			}
-			res := solveChain(ce, solve)
-			if res.score > best {
-				best = res.score
-				bestRanges = append(bestRanges[:0], res.ranges...)
-			}
-		}
-		return best, bestRanges, nil
-	}
 	memoOK := meta.memoUsable(v.N())
 	if memoOK && resetMemo {
 		ec.memo.reset()
@@ -295,15 +277,12 @@ func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve
 	}
 	bestAi := -1
 	for _, ai := range meta.order {
-		ce, err := ec.compileAlt(v, norm.Alternatives[ai], o, &meta.alts[ai])
-		if err != nil {
-			return 0, nil, err
-		}
+		ce := ec.compileAlt(v, norm.Alternatives[ai], o, &meta.alts[ai])
 		if !memoOK {
 			ce.sigs = nil
 		}
 		res := solveChain(ce, solve)
-		// Scoring order is grouped by unit count, so the naive loop's
+		// Scoring order is grouped by unit count, so the declaration-order
 		// first-wins tie rule becomes lowest-alternative-index-wins.
 		if res.score > best || (res.score == best && bestAi >= 0 && ai < bestAi) {
 			best = res.score
@@ -311,7 +290,7 @@ func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve
 			bestRanges = append(bestRanges[:0], res.ranges...)
 		}
 	}
-	return best, bestRanges, nil
+	return best, bestRanges
 }
 
 func makeResult(v *Viz, sc float64, ranges [][2]int) Result {

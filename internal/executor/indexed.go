@@ -155,23 +155,20 @@ func envelopeUpperBoundShared(ec *evalCtx, s *shapeindex.Summary, norm shape.Nor
 		high: s.High, highPrefix: s.HighPrefix,
 		ratio: s.Ratio,
 	}
-	meta := o.chainMeta
 	ub := math.Inf(-1)
 	for ai, alt := range norm.Alternatives {
-		var am *altMeta
-		if meta != nil {
-			am = &meta.alts[ai]
-			if g := am.boundGroup; g >= 0 && ec.ubChainSet[g] {
-				if c := ec.ubChainUB[g]; c > ub {
-					ub = c
-				}
-				continue
+		am := &o.chainMeta.alts[ai]
+		g := am.boundGroup
+		if g >= 0 && ec.ubChainSet[g] {
+			if c := ec.ubChainUB[g]; c > ub {
+				ub = c
 			}
+			continue
 		}
 		chainUB := envChainUpperBound(ec, s, &ps, alt, o, am)
-		if am != nil && am.boundGroup >= 0 {
-			ec.ubChainSet[am.boundGroup] = true
-			ec.ubChainUB[am.boundGroup] = chainUB
+		if g >= 0 {
+			ec.ubChainSet[g] = true
+			ec.ubChainUB[g] = chainUB
 		}
 		if chainUB > ub {
 			ub = chainUB
@@ -205,33 +202,14 @@ func envelopeUpperBoundShared(ec *evalCtx, s *shapeindex.Summary, norm shape.Nor
 //     slot.
 func envChainUpperBound(ec *evalCtx, s *shapeindex.Summary, ps *pruneStats, alt shape.Chain, o *Options, am *altMeta) float64 {
 	k := len(alt.Units)
-	pinned := false
-	if am != nil {
-		pinned = am.boundGroup < 0
-	} else {
-		for _, u := range alt.Units {
-			if _, has := u.PinnedStart(); has {
-				pinned = true
-				break
-			}
-			if _, has := u.PinnedEnd(); has {
-				pinned = true
-				break
-			}
-		}
-	}
 	var chainUB float64
-	if pinned {
+	if am.boundGroup < 0 { // the chain has pins
 		sLo, sHi := ps.low[0], ps.high[0]
 		if s.MayFail {
 			sLo, sHi = math.Inf(-1), math.Inf(1)
 		}
 		for t, u := range alt.Units {
-			bsig := -1
-			if am != nil {
-				bsig = am.bsigs[t]
-			}
-			chainUB += u.Weight * ec.unitHi(u.Node, bsig, 0, sLo, sHi, s.MayFail)
+			chainUB += u.Weight * ec.unitHi(u.Node, am.bsigs[t], 0, sLo, sHi, s.MayFail)
 		}
 		return chainUB
 	}
@@ -242,11 +220,7 @@ func envChainUpperBound(ec *evalCtx, s *shapeindex.Summary, ps *pruneStats, alt 
 	span := minSpanWidth(o, n, k, 0, n-1)
 	sLo, sHi := ec.spanInterval(ps, span+1)
 	for t, u := range alt.Units {
-		bsig := -1
-		if am != nil {
-			bsig = am.bsigs[t]
-		}
-		chainUB += u.Weight * ec.unitHi(u.Node, bsig, span, sLo, sHi, s.MayFail)
+		chainUB += u.Weight * ec.unitHi(u.Node, am.bsigs[t], span, sLo, sHi, s.MayFail)
 	}
 	return chainUB
 }

@@ -411,11 +411,7 @@ func (pl *pipeline) score(w int, rs []rec) bool {
 				continue
 			}
 		}
-		sc, ranges, err := evalVizShared(pl.ecs[w], v, p.norm, p.opts, p.solver, resetMemo)
-		if err != nil {
-			pl.fail(err)
-			return false
-		}
+		sc, ranges := evalVizShared(pl.ecs[w], v, p.norm, p.opts, p.solver, resetMemo)
 		resetMemo = false
 		if pl.prune {
 			// Without pruning nothing reads the floor, so skip the lock.
@@ -458,11 +454,7 @@ func (pl *pipeline) finish(chunks [][]rec) ([][]Result, error) {
 						return
 					}
 					r := rescue[j]
-					sc, ranges, err := evalViz(pl.ecs[w], r.v, p.norm, p.opts, p.solver)
-					if err != nil {
-						pl.fail(err)
-						return
-					}
+					sc, ranges := evalViz(pl.ecs[w], r.v, p.norm, p.opts, p.solver)
 					pl.stats[w].Scored++
 					r.res, r.ok = makeResult(r.v, sc, ranges), true
 				})

@@ -149,7 +149,6 @@ func compile(q shape.Query, norm shape.Normalized, opts Options) (*Plan, error) 
 	if len(sketchQY) > 0 {
 		o.sketchQY = sketchQY
 	}
-	o.compiled = true
 	o.chainMeta = buildChainMeta(norm)
 	return p, nil
 }
@@ -269,10 +268,10 @@ func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
 }
 
 // Search runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline over a
-// data source: a bare *dataset.Table (legacy row-at-a-time extraction) or a
-// *dataset.Index (columnar extraction with dictionary-encoded grouping and
-// vectorized filters). Filter validation happens once, up front, inside the
-// source's Extract — never per row.
+// data source: a *dataset.Index, or a bare *dataset.Table that builds a
+// throwaway index per call, so repeated searches should pass the index.
+// Filter validation happens once, up front, inside the source's Extract —
+// never per row.
 func (p *Plan) Search(src dataset.Source, spec dataset.ExtractSpec) ([]Result, error) {
 	return p.SearchContext(context.Background(), src, spec)
 }

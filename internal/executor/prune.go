@@ -158,7 +158,7 @@ func (ec *evalCtx) resetBoundCaches(meta *chainMeta) {
 	ec.ubSpanHi = ec.ubSpanHi[:0]
 	ec.ubUnitKeys = ec.ubUnitKeys[:0]
 	ec.ubUnitHi = ec.ubUnitHi[:0]
-	if meta != nil && meta.nBoundGroups > 0 {
+	if meta.nBoundGroups > 0 {
 		ec.ubChainUB = growFloats(&ec.ubChainUB, meta.nBoundGroups)
 		set := growBools(&ec.ubChainSet, meta.nBoundGroups)
 		for i := range set {
@@ -180,23 +180,20 @@ func soundUpperBoundShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Option
 	// minimum (skip-mask hits, duplicate-x degenerate fits). The upper
 	// bound is unaffected; only NOT's use of the lower bound needs it.
 	mayFail := v.Skipped != nil || math.IsInf(ps.ratio, 1)
-	meta := o.chainMeta
 	ub := math.Inf(-1)
 	for ai, alt := range norm.Alternatives {
-		var am *altMeta
-		if meta != nil {
-			am = &meta.alts[ai]
-			if g := am.boundGroup; g >= 0 && ec.ubChainSet[g] {
-				if c := ec.ubChainUB[g]; c > ub {
-					ub = c
-				}
-				continue
+		am := &o.chainMeta.alts[ai]
+		g := am.boundGroup
+		if g >= 0 && ec.ubChainSet[g] {
+			if c := ec.ubChainUB[g]; c > ub {
+				ub = c
 			}
+			continue
 		}
 		chainUB := chainUpperBound(ec, v, alt, o, ps, am, tolX, mayFail)
-		if am != nil && am.boundGroup >= 0 {
-			ec.ubChainSet[am.boundGroup] = true
-			ec.ubChainUB[am.boundGroup] = chainUB
+		if g >= 0 {
+			ec.ubChainSet[g] = true
+			ec.ubChainUB[g] = chainUB
 		}
 		if chainUB > ub {
 			ub = chainUB
@@ -206,37 +203,29 @@ func soundUpperBoundShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Option
 }
 
 // chainUpperBound bounds one alternative, mirroring solveChain's anchor and
-// fuzzy-run reconstruction. am, when non-nil, supplies hoisted pins and
-// structural signature ids for the per-candidate caches.
+// fuzzy-run reconstruction. am supplies hoisted pins and structural
+// signature ids for the per-candidate caches.
 func chainUpperBound(ec *evalCtx, v *Viz, alt shape.Chain, o *Options, ps *pruneStats, am *altMeta, tolX float64, mayFail bool) float64 {
 	n := v.N()
 	k := len(alt.Units)
 	pinS := growInts(&ec.ubPinS, k)
 	pinE := growInts(&ec.ubPinE, k)
 	pinBad := growBools(&ec.ubPinBad, k)
-	for t, u := range alt.Units {
+	for t := range alt.Units {
 		pinS[t], pinE[t], pinBad[t] = -1, -1, false
-		var xs, xe float64
-		var hasS, hasE bool
-		if am != nil {
-			p := &am.pins[t]
-			xs, hasS, xe, hasE = p.xs, p.hasS, p.xe, p.hasE
-		} else {
-			xs, hasS = u.PinnedStart()
-			xe, hasE = u.PinnedEnd()
-		}
-		if hasS {
-			if xs < v.Series.X[0]-tolX || xs > v.Series.X[n-1]+tolX {
+		p := &am.pins[t]
+		if p.hasS {
+			if p.xs < v.Series.X[0]-tolX || p.xs > v.Series.X[n-1]+tolX {
 				pinBad[t] = true
 			} else {
-				pinS[t] = v.indexOfX(xs)
+				pinS[t] = v.indexOfX(p.xs)
 			}
 		}
-		if hasE {
-			if xe < v.Series.X[0]-tolX || xe > v.Series.X[n-1]+tolX {
+		if p.hasE {
+			if p.xe < v.Series.X[0]-tolX || p.xe > v.Series.X[n-1]+tolX {
 				pinBad[t] = true
 			} else {
-				pinE[t] = v.indexAtOrBefore(xe)
+				pinE[t] = v.indexAtOrBefore(p.xe)
 			}
 		}
 		if pinS[t] >= 0 && pinE[t] >= 0 && pinE[t] <= pinS[t] {
@@ -298,11 +287,7 @@ func chainUpperBound(ec *evalCtx, v *Viz, alt shape.Chain, o *Options, ps *prune
 				chainUB += alt.Units[t].Weight * score.WorstScore
 				continue
 			}
-			bsig := -1
-			if am != nil {
-				bsig = am.bsigs[t]
-			}
-			chainUB += alt.Units[t].Weight * ec.unitHi(alt.Units[t].Node, bsig, span, sLo, sHi, mayFail)
+			chainUB += alt.Units[t].Weight * ec.unitHi(alt.Units[t].Node, am.bsigs[t], span, sLo, sHi, mayFail)
 		}
 	}
 	return chainUB
@@ -326,20 +311,16 @@ func (ec *evalCtx) spanInterval(ps *pruneStats, m int) (float64, float64) {
 
 // unitHi is a fuzzy unit's upper bound cached per candidate by (structural
 // signature, width floor): the floor determines (sLo, sHi) and mayFail is
-// candidate-constant, so the key pins every input of unitBounds. bsig < 0
-// computes directly (chains compiled without plan metadata).
+// candidate-constant, so the key pins every input of unitBounds.
 func (ec *evalCtx) unitHi(nd *shape.Node, bsig, span int, sLo, sHi float64, mayFail bool) float64 {
-	var key uint64
-	if bsig >= 0 {
-		key = uint64(bsig)<<32 | uint64(uint32(span))
-		for i, k := range ec.ubUnitKeys {
-			if k == key {
-				return ec.ubUnitHi[i]
-			}
+	key := uint64(bsig)<<32 | uint64(uint32(span))
+	for i, k := range ec.ubUnitKeys {
+		if k == key {
+			return ec.ubUnitHi[i]
 		}
 	}
 	_, hi := unitBounds(nd, sLo, sHi, mayFail)
-	if bsig >= 0 && len(ec.ubUnitKeys) < 256 {
+	if len(ec.ubUnitKeys) < 256 {
 		ec.ubUnitKeys = append(ec.ubUnitKeys, key)
 		ec.ubUnitHi = append(ec.ubUnitHi, hi)
 	}

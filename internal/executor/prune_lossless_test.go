@@ -8,7 +8,6 @@ import (
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/gen"
 	"shapesearch/internal/regexlang"
-	"shapesearch/internal/shape"
 )
 
 // assertSameResults fails unless both rankings are identical in length,
@@ -68,7 +67,7 @@ func mixedCorpus(rng *rand.Rand, n, points int) []dataset.Series {
 func TestPruningIsLossless(t *testing.T) {
 	t.Run("luminosity-transit024", func(t *testing.T) {
 		lum := gen.Luminosity(40, 300, 1)
-		series, err := dataset.Extract(lum, dataset.ExtractSpec{Z: "star", X: "time", Y: "luminosity"})
+		series, err := lum.Extract(dataset.ExtractSpec{Z: "star", X: "time", Y: "luminosity"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +168,7 @@ func TestPruningIsLossless(t *testing.T) {
 // work instead of a wrong answer — exactly what this test simulates.
 func TestDeferredVerificationRescues(t *testing.T) {
 	tbl := gen.DriftPeaks(200, 128, 3)
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,23 +196,5 @@ func TestDeferredVerificationRescues(t *testing.T) {
 				assertSameResults(t, fmt.Sprintf("q=%q bias=%v workers=%d", query, bias, workers), want, got)
 			}
 		}
-	}
-}
-
-// TestEvalVizPropagatesCompileErrors: a chain-compile error during scoring
-// must surface instead of being swallowed. (Plan-compiled options validate
-// at Compile time, so this drives evalViz directly with uncompiled options,
-// the path where per-chain validation still runs; stage-1 coarse scoring,
-// the old uncompiled path, was deleted with the sampling stage.)
-func TestEvalVizPropagatesCompileErrors(t *testing.T) {
-	v := group(mkSeries("s", 1, 2, 3, 4, 5, 4, 3, 2, 1), groupConfig{zNormalize: true})
-	q := regexlang.MustParse("[p{ghost}] ; d")
-	norm, err := shape.Normalize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := seqOpts().normalized() // not plan-compiled: validation runs per chain
-	if _, _, err := evalViz(newEvalCtx(), v, norm, o, treeRun); err == nil {
-		t.Fatal("evalViz must propagate the unknown-UDP compile error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -12,16 +13,41 @@ import (
 	"shapesearch/internal/regexlang"
 )
 
-// naivePlan returns a copy of the plan with the shared-segmentation
-// metadata stripped: evalViz, coarseScore and soundUpperBound all fall back
-// to the naive per-alternative loop — the reference behavior the shared
-// path must reproduce byte-identically.
-func naivePlan(p *Plan) *Plan {
-	o := *p.opts
-	o.chainMeta = nil
-	np := *p
-	np.opts = &o
-	return &np
+// naiveRun is the reference evaluator the shared-segmentation pipeline
+// must reproduce byte-identically: every candidate is scored, each
+// alternative is compiled without plan metadata (no unit-score memo, no
+// hoisted pins) and solved on its own, the first best alternative wins,
+// and the ranking is the top K by (score desc, candidate index asc).
+func naiveRun(p *Plan, vizs []*Viz) []Result {
+	type scored struct {
+		id  int
+		res Result
+	}
+	ec := newEvalCtx()
+	all := make([]scored, 0, len(vizs))
+	for id, v := range vizs {
+		best := math.Inf(-1)
+		var bestRanges [][2]int
+		for _, alt := range p.norm.Alternatives {
+			res := solveChain(ec.compile(v, alt, p.opts), p.solver)
+			if res.score > best {
+				best = res.score
+				bestRanges = append(bestRanges[:0], res.ranges...)
+			}
+		}
+		all = append(all, scored{id, makeResult(v, best, bestRanges)})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].res.Score != all[j].res.Score {
+			return all[i].res.Score > all[j].res.Score
+		}
+		return all[i].id < all[j].id
+	})
+	out := make([]Result, 0, p.opts.K)
+	for _, sc := range all[:min(p.opts.K, len(all))] {
+		out = append(out, sc.res)
+	}
+	return out
 }
 
 // sharedEvalQueries cover the alternative-multiplying constructs: optional
@@ -38,10 +64,10 @@ var sharedEvalQueries = []string{
 }
 
 // TestSharedEvalMatchesNaive: shared-skeleton + memoized evaluation must be
-// byte-identical — score bits, ranges, break points, ranking — to the naive
-// per-alternative loop, across corpora × chain shapes × worker counts,
-// pruned runs included (the style of TestPooledKernelMatchesFreshContexts,
-// lifted to the full pipeline).
+// byte-identical — score bits, ranges, break points, ranking — to naiveRun,
+// across corpora × chain shapes × worker counts, pruned runs included (the
+// style of TestPooledKernelMatchesFreshContexts, lifted to the full
+// pipeline).
 func TestSharedEvalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	corpora := [][]dataset.Series{
@@ -77,10 +103,7 @@ func TestSharedEvalMatchesNaive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := naivePlan(plan).RunGrouped(vizs)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := naiveRun(plan, vizs)
 					label := fmt.Sprintf("%s workers=%d pruning=%v corpus=%d", q, workers, pruning, ci)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
@@ -130,9 +153,9 @@ func TestSharedEvalMatchesNaiveDP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := naivePlan(plan).RunGrouped(vizs)
-			if err != nil {
-				t.Fatal(err)
+			want := naiveRun(plan, vizs)
+			if len(got) != len(want) {
+				t.Fatalf("%v/%s: %d results, want %d", alg, q, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Z != want[i].Z || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
@@ -263,7 +286,7 @@ func TestFilterSeriesWithDataBinarySearch(t *testing.T) {
 func fuzzyAltSeries(b *testing.B) []dataset.Series {
 	b.Helper()
 	ds := gen.Weather()
-	series, err := dataset.Extract(ds.Table, ds.Spec)
+	series, err := ds.Table.Extract(ds.Spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,8 +301,9 @@ func fuzzyAltSeries(b *testing.B) []dataset.Series {
 // query whose optional units expand into 8 alternative chains
 // (u?;d;u?;d;u? — the SlopeSeeker-style many-near-identical-variants
 // workload). Shared is the compiled-plan path (signature memo + shared
-// grids + bound dedup); Naive re-solves every alternative independently,
-// which is what every candidate paid before this optimization.
+// grids + bound dedup); Naive is naiveRun, re-solving every alternative
+// independently on one worker, which is what every candidate paid before
+// shared evaluation.
 func BenchmarkFuzzyAlternatives(b *testing.B) {
 	series := fuzzyAltSeries(b)
 	for _, cfg := range []struct {
@@ -290,7 +314,6 @@ func BenchmarkFuzzyAlternatives(b *testing.B) {
 		{"Shared", false, false},
 		{"Naive", true, false},
 		{"SharedPruned", false, true},
-		{"NaivePruned", true, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opts := DefaultOptions()
@@ -301,9 +324,6 @@ func BenchmarkFuzzyAlternatives(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if cfg.naive {
-				plan = naivePlan(plan)
-			}
 			// Pre-grouped candidates: the serving hot path (the candidate
 			// cache skips EXTRACT + GROUP), and the same constant in both
 			// arms either way.
@@ -311,7 +331,9 @@ func BenchmarkFuzzyAlternatives(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.RunGrouped(vizs); err != nil {
+				if cfg.naive {
+					naiveRun(plan, vizs)
+				} else if _, err := plan.RunGrouped(vizs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,7 +350,7 @@ func BenchmarkFuzzyAlternatives(b *testing.B) {
 // the first exactly-scored, highest-bound candidates.
 func BenchmarkPrunedFloorSeeding(b *testing.B) {
 	tbl := gen.DriftPeaks(400, 256, 11)
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,10 +28,7 @@ func TestGroupSkipRanges(t *testing.T) {
 	q := regexlang.MustParse("[p=up]")
 	norm, _ := shape.Normalize(q)
 	o := seqOpts().normalized()
-	ce, err := compileChain(v, norm.Alternatives[0], o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := compileChain(v, norm.Alternatives[0], o)
 	if sc := ce.unitScore(0, 0, 9); sc != -1 {
 		t.Fatalf("fit over skipped points = %v, want -1", sc)
 	}
@@ -130,13 +127,12 @@ func TestSoundBoundDominatesExact(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	ec := newEvalCtx()
-	o := seqOpts().normalized()
 	for _, query := range queries {
-		q := regexlang.MustParse(query)
-		norm, err := shape.Normalize(q)
+		plan, err := Compile(regexlang.MustParse(query), seqOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
+		norm, o := plan.norm, plan.opts
 		for i := 0; i < 60; i++ {
 			var v *Viz
 			if i%3 == 0 {
@@ -148,10 +144,7 @@ func TestSoundBoundDominatesExact(t *testing.T) {
 			} else {
 				v = group(randomSeries(rng, 64), groupConfig{zNormalize: true})
 			}
-			exact, _, err := evalViz(ec, v, norm, o, treeRun)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact, _ := evalViz(ec, v, norm, o, treeRun)
 			ub := soundUpperBound(ec, v, norm, o)
 			if ub < exact-1e-9 {
 				t.Fatalf("%q trial %d: sound bound %.12f below exact score %.12f", query, i, ub, exact)
@@ -203,10 +196,7 @@ func TestMinSpanRelaxes(t *testing.T) {
 	o.MinSegmentFrac = 0.5 // absurd floor: 5-6 points per unit
 	q := regexlang.MustParse("u ; d ; u ; d")
 	norm, _ := shape.Normalize(q)
-	ce, err := compileChain(v, norm.Alternatives[0], o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := compileChain(v, norm.Alternatives[0], o)
 	// Four units over 11 gaps cannot all span 5: the floor must relax so a
 	// segmentation still exists.
 	if got := minSpan(ce, 4, 0, 11); got > 2 {

@@ -22,7 +22,7 @@ func Table11(cfg Config) Table {
 		Header: []string{"Dataset", "Visualizations", "Length", "Fuzzy queries", "Positive matches per query"},
 	}
 	for _, ds := range gen.EvalDatasets() {
-		series, err := dataset.Extract(ds.Table, ds.Spec)
+		series, err := ds.Table.Extract(ds.Spec)
 		if err != nil {
 			panic(err)
 		}

@@ -14,7 +14,7 @@ func TestBuildDimensions(t *testing.T) {
 	if tbl.NumRows() != 6*50 {
 		t.Fatalf("rows = %d, want %d", tbl.NumRows(), 6*50)
 	}
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "z", X: "x", Y: "y"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "z", X: "x", Y: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestBuildSamplesPerX(t *testing.T) {
 		t.Fatalf("rows = %d", tbl.NumRows())
 	}
 	// Extraction without aggregation must fail; with AggAvg it succeeds.
-	if _, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "z", X: "x", Y: "y"}); err == nil {
+	if _, err := tbl.Extract(dataset.ExtractSpec{Z: "z", X: "x", Y: "y"}); err == nil {
 		t.Fatal("duplicate (z,x) should demand aggregation")
 	}
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "z", X: "x", Y: "y", Agg: dataset.AggAvg})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "z", X: "x", Y: "y", Agg: dataset.AggAvg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEvalDatasetsDimensions(t *testing.T) {
 			t.Errorf("unexpected dataset %q", ds.Name)
 			continue
 		}
-		series, err := dataset.Extract(ds.Table, ds.Spec)
+		series, err := ds.Table.Extract(ds.Spec)
 		if err != nil {
 			t.Errorf("%s: %v", ds.Name, err)
 			continue
@@ -146,7 +146,7 @@ func TestEvalDatasetsDimensions(t *testing.T) {
 
 func TestGenes(t *testing.T) {
 	tbl := Genes(30, 48, 1)
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "gene", X: "hour", Y: "expression"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "gene", X: "hour", Y: "expression"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGenes(t *testing.T) {
 
 func TestStocks(t *testing.T) {
 	tbl := Stocks(20, 120, 1)
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "symbol", X: "day", Y: "price"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "symbol", X: "day", Y: "price"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestStocks(t *testing.T) {
 
 func TestLuminosityAndCities(t *testing.T) {
 	lum := Luminosity(12, 200, 1)
-	series, err := dataset.Extract(lum, dataset.ExtractSpec{Z: "star", X: "time", Y: "luminosity"})
+	series, err := lum.Extract(dataset.ExtractSpec{Z: "star", X: "time", Y: "luminosity"})
 	if err != nil || len(series) != 12 {
 		t.Fatalf("stars = %d, err %v", len(series), err)
 	}
 	cities := Cities(9, 24, 1)
-	cs, err := dataset.Extract(cities, dataset.ExtractSpec{Z: "city", X: "month", Y: "temperature"})
+	cs, err := cities.Extract(dataset.ExtractSpec{Z: "city", X: "month", Y: "temperature"})
 	if err != nil || len(cs) != 9 {
 		t.Fatalf("cities = %d, err %v", len(cs), err)
 	}
@@ -206,7 +206,7 @@ func TestLuminosityAndCities(t *testing.T) {
 
 func TestDriftPeaks(t *testing.T) {
 	tbl := DriftPeaks(120, 64, 5)
-	series, err := dataset.Extract(tbl, dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
+	series, err := tbl.Extract(dataset.ExtractSpec{Z: "series", X: "t", Y: "v"})
 	if err != nil || len(series) != 120 {
 		t.Fatalf("series = %d, err %v", len(series), err)
 	}

@@ -330,6 +330,42 @@ func TestAppendEndpoint(t *testing.T) {
 	}
 }
 
+// TestUploadConcurrentWithAppend is the regression test for the
+// upload/append data race: the upload handler must describe the table it
+// registered without reading it after Register, because a concurrent
+// /api/append may already be growing that table under the index's data
+// lock. Run it with -race. Whatever the interleaving, the response reports
+// the uploaded row count.
+func TestUploadConcurrentWithAppend(t *testing.T) {
+	s := New()
+	const upload = "z,x,y\na,0,0\na,1,9\nb,0,1\n"
+	const delta = "z,x,y\na,2,3\n"
+	for round := 0; round < 200; round++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 4; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/api/append?dataset=live", strings.NewReader(delta))
+				s.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		}()
+		req := httptest.NewRequest(http.MethodPost, "/api/datasets/live", strings.NewReader(upload))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		<-done
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("round %d: upload status = %d: %s", round, rec.Code, rec.Body.String())
+		}
+		var info datasetInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Rows != 3 || len(info.Columns) != 3 {
+			t.Fatalf("round %d: upload reported %d rows, %d columns; want 3, 3", round, info.Rows, len(info.Columns))
+		}
+	}
+}
+
 // TestFetchValidateAtStore is the regression test for the build-vs-append
 // race: a candidate build that was in flight when the data changed (the
 // validate closure turns false) must NOT be stored — before this check a

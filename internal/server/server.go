@@ -306,8 +306,11 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// Describe the table before Register hands it to the index: from then
+	// on a concurrent /api/append may grow it under the index's data lock.
+	info := datasetInfo{Name: name, Rows: t.NumRows(), Columns: t.ColumnNames()}
 	s.Register(name, t)
-	writeJSON(w, http.StatusCreated, datasetInfo{Name: name, Rows: t.NumRows(), Columns: t.ColumnNames()})
+	writeJSON(w, http.StatusCreated, info)
 }
 
 // parseRequest is the body of /api/parse and the query part of /api/search.

@@ -58,14 +58,14 @@ type (
 type (
 	// Table is an in-memory columnar dataset.
 	Table = dataset.Table
-	// Index is the columnar acceleration layer over a Table:
+	// Index is the columnar EXTRACT engine over a Table:
 	// dictionary-encoded grouping keys and memoized (z, x) sort
 	// permutations make repeated extraction a single pass over presorted
 	// runs with vectorized filters. Build one per long-lived table (see
 	// BuildIndex) and pass it wherever a Source is accepted.
 	Index = dataset.Index
-	// Source is a queryable data source for EXTRACT: either a bare *Table
-	// (row-at-a-time compatibility path) or an *Index (columnar path).
+	// Source is a queryable data source for EXTRACT: an *Index, or a bare
+	// *Table, which builds a throwaway Index on every extraction.
 	Source = dataset.Source
 	// Column is one typed column of a Table.
 	Column = dataset.Column
@@ -210,12 +210,14 @@ func NewTable(cols ...Column) (*Table, error) { return dataset.New(cols...) }
 
 // BuildIndex builds the columnar index for a table: string grouping
 // columns are dictionary-encoded up front; (z, x) sort permutations are
-// built lazily on first extraction and memoized. Index tables that serve
-// repeated queries; one-shot extractions can stay on the bare *Table.
+// built lazily on first extraction and memoized. Index every table that
+// serves more than one query: extracting from a bare *Table rebuilds the
+// index each call.
 func BuildIndex(t *Table) *Index { return dataset.BuildIndex(t) }
 
-// Extract selects candidate trendlines from a table.
-func Extract(t *Table, spec ExtractSpec) ([]Series, error) { return dataset.Extract(t, spec) }
+// Extract selects candidate trendlines from a table through a throwaway
+// Index (see BuildIndex for repeated extraction).
+func Extract(t *Table, spec ExtractSpec) ([]Series, error) { return t.Extract(spec) }
 
 // ParseRegex parses a visual regular expression into a ShapeQuery, e.g.
 // "[x.s=2, x.e=5, p=up] ; d ; u" or "(u ⊕ d) ⊗ f".
@@ -291,9 +293,9 @@ func SearchBatchContext(ctx context.Context, src Source, spec ExtractSpec, qs []
 
 // Search extracts candidate visualizations and ranks them against the
 // query — the full EXTRACT → GROUP → SEGMENT → SCORE pipeline. The source
-// is a bare *Table or an *Index. It is a thin wrapper over Compile +
-// Plan.Search; issue repeated queries through a compiled Plan (and an
-// Index) instead.
+// is an *Index, or a bare *Table indexed for this one call. It is a thin
+// wrapper over Compile + Plan.Search; issue repeated queries through a
+// compiled Plan (and an Index) instead.
 func Search(src Source, spec ExtractSpec, q Query, opts Options) ([]Result, error) {
 	return executor.Search(src, spec, q, opts)
 }
