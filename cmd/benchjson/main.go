@@ -1,7 +1,8 @@
 // Command benchjson converts a `go test -json -bench` event stream (stdin)
 // into a compact JSON array of benchmark results (stdout), one record per
-// benchmark line: name, package, iterations, ns/op, and the B/op and
-// allocs/op columns when -benchmem / b.ReportAllocs emitted them. With
+// benchmark line: name, package, iterations, ns/op, the B/op and
+// allocs/op columns when -benchmem / b.ReportAllocs emitted them, and every
+// custom b.ReportMetric pair (e.g. visited_frac) under "metrics". With
 // -table it prints an aligned human-readable summary instead — CI runs it
 // both ways over the same raw stream, committing the JSON (BENCH_PR7.json)
 // and printing the table into the build log.
@@ -12,7 +13,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -33,13 +36,35 @@ type result struct {
 	BytesPerOp  *int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
 	MBPerSec    *float64 `json:"mb_per_s,omitempty"`
+	// Metrics holds every other "value unit" pair, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
 	table := flag.Bool("table", false,
 		"print an aligned summary table instead of JSON")
 	flag.Parse()
-	sc := bufio.NewScanner(os.Stdin)
+	results, err := parseStream(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if *table {
+		printTable(os.Stdout, results)
+		return
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(results); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parseStream reads a `go test -json` event stream and returns its
+// benchmark results in stream order.
+func parseStream(in io.Reader) ([]result, error) {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	results := []result{} // non-nil: an empty run must emit [], not null
 	// test2json splits a benchmark result across output events (the padded
@@ -72,27 +97,15 @@ func main() {
 			pending[key] = buf
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	if *table {
-		printTable(results)
-		return
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return results, sc.Err()
 }
 
 // printTable writes the results as an aligned summary, one row per
-// benchmark, suitable for a CI build log.
-func printTable(results []result) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "BENCHMARK\tITERS\tNS/OP\tB/OP\tALLOCS/OP")
+// benchmark, suitable for a CI build log. Custom metrics follow as
+// unit=value pairs, sorted by unit.
+func printTable(out io.Writer, results []result) {
+	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(w, "BENCHMARK\tITERS\tNS/OP\tB/OP\tALLOCS/OP\tMETRICS")
 	for _, r := range results {
 		bytesCol, allocsCol := "-", "-"
 		if r.BytesPerOp != nil {
@@ -101,8 +114,17 @@ func printTable(results []result) {
 		if r.AllocsPerOp != nil {
 			allocsCol = strconv.FormatInt(*r.AllocsPerOp, 10)
 		}
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%s\t%s\n",
-			r.Name, r.Iterations, r.NsPerOp, bytesCol, allocsCol)
+		units := make([]string, 0, len(r.Metrics))
+		for u := range r.Metrics {
+			units = append(units, u)
+		}
+		sort.Strings(units)
+		pairs := make([]string, len(units))
+		for i, u := range units {
+			pairs[i] = u + "=" + strconv.FormatFloat(r.Metrics[u], 'g', -1, 64)
+		}
+		fmt.Fprintf(w, "%s\t%d\t%.0f\t%s\t%s\t%s\n",
+			r.Name, r.Iterations, r.NsPerOp, bytesCol, allocsCol, strings.Join(pairs, " "))
 	}
 	w.Flush()
 }
@@ -141,6 +163,13 @@ func parseBenchLine(pkg, line string) (result, bool) {
 		case "MB/s":
 			if f, err := strconv.ParseFloat(val, 64); err == nil {
 				r.MBPerSec = &f
+			}
+		default:
+			if f, err := strconv.ParseFloat(val, 64); err == nil {
+				if r.Metrics == nil {
+					r.Metrics = make(map[string]float64)
+				}
+				r.Metrics[unit] = f
 			}
 		}
 	}

@@ -78,6 +78,30 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestGroupSeriesAllocs pins GROUP's allocation count: per viz the Viz
+// itself, one backing array shared by NX and NY, and the prefix — no
+// per-point bins — plus the result slice once per call. Push-down skip
+// masks (none here) would add one more per viz.
+func TestGroupSeriesAllocs(t *testing.T) {
+	const (
+		nSeries = 64
+		budget  = 3*nSeries + 1
+	)
+	series := allocSeries(nSeries, 70)
+	plan, err := Compile(regexlang.MustParse("u ; d ; u"), seqOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vizs []*Viz
+	avg := testing.AllocsPerRun(5, func() { vizs = plan.GroupSeries(series) })
+	if len(vizs) != nSeries {
+		t.Fatalf("grouped %d vizs, want %d", len(vizs), nSeries)
+	}
+	if avg > budget {
+		t.Errorf("GroupSeries allocates %.0f objects for %d series, budget %d", avg, nSeries, budget)
+	}
+}
+
 // TestSteadyStateAllocsBatch extends the steady-state budget to the batch
 // pipeline: the per-run bookkeeping (per-query records and heaps) scales
 // with Q, while per-candidate evaluation stays on

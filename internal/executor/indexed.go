@@ -34,10 +34,13 @@ import (
 // indexed results are byte-identical to the flat scan's
 // (TestIndexedSearchMatchesScan).
 
-// lazyIndexMinCorpus is the corpus size at which a pruned run builds a
-// throwaway index instead of flat-scanning: below it the build (summaries +
-// sort) costs more than the skipped bounds save.
-const lazyIndexMinCorpus = 4096
+// IndexMinCorpus is the one corpus-size rule for "shape index or flat
+// scan": a pruned run over at least this many candidates builds a throwaway
+// index instead of flat-scanning, and callers that cache candidate sets
+// (the server) prebuild one for every set this large. Smaller corpora
+// always flat-scan. BenchmarkIndexCrossover measures the scan, the build
+// and the indexed traversal on both sides of it.
+const IndexMinCorpus = 4096
 
 // VizIndex pairs grouped candidate visualizations with the corpus shape
 // index built over their bound summaries. Positions in the vizs slice are

@@ -99,7 +99,7 @@ func TestIndexedBoundDominatesSound(t *testing.T) {
 // contract: whatever the worker count, shard count, query shape or k, the
 // indexed ranking — identities, order and exact scores — must be
 // byte-identical to the unpruned sequential scan. (The unpruned scan is the
-// ground truth on purpose: above lazyIndexMinCorpus the pruned scan itself
+// ground truth on purpose: above IndexMinCorpus the pruned scan itself
 // routes through the index.)
 func TestIndexedSearchMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
@@ -180,7 +180,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 }
 
 // TestLargeCorpusIndexedSmoke exercises the lazy auto-index path (corpus
-// above lazyIndexMinCorpus) end to end on a separated corpus and checks the
+// above IndexMinCorpus) end to end on a separated corpus and checks the
 // index actually skips work: results identical to the unpruned scan, and
 // strictly fewer members visited than the corpus holds.
 func TestLargeCorpusIndexedSmoke(t *testing.T) {
@@ -256,5 +256,74 @@ func TestIndexStatsPinned(t *testing.T) {
 	want := IndexStats{Candidates: 2000, Leaves: 9, Visited: 528, Scored: 232}
 	if st != want {
 		t.Fatalf("IndexStats = %+v, want %+v", st, want)
+	}
+}
+
+// BenchmarkIndexCrossover measures the corpus size from which a prebuilt
+// shape index beats the flat bound-first scan — the evidence behind
+// IndexMinCorpus. Two corpora bracket the regimes: gen.Stocks has no bound
+// separation (planted patterns of every shape, so most bounds clear the
+// floor), gen.DriftPeaksSeries has it (a fixed planted strong set lifts the
+// floor above a drifting bulk). Per size, Scan is the flat pruned pipeline
+// (DisableAutoIndex keeps it off the index), Indexed traverses a prebuilt
+// index and reports the fraction of candidates it bounded individually as
+// visited_frac, and Build is the index build a candidate-cache miss pays
+// on top of Indexed.
+func BenchmarkIndexCrossover(b *testing.B) {
+	const points = 48
+	q := regexlang.MustParse("u ; d ; u")
+	corpora := []struct {
+		name   string
+		series func(n int) ([]dataset.Series, error)
+	}{
+		{"Stocks", func(n int) ([]dataset.Series, error) {
+			return gen.Stocks(n, points, 3).Extract(dataset.ExtractSpec{Z: "symbol", X: "day", Y: "price"})
+		}},
+		{"DriftPeaks", func(n int) ([]dataset.Series, error) {
+			return gen.DriftPeaksSeries(n, points, 16, 9), nil
+		}},
+	}
+	opts := DefaultOptions()
+	opts.Algorithm = AlgSegmentTree
+	opts.K = 10
+	opts.Pruning = true
+	opts.DisableAutoIndex = true
+	plan, err := Compile(q, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range corpora {
+		for _, n := range []int{256, 1024, 4096, 16384} {
+			series, err := c.series(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vizs := plan.GroupSeries(series)
+			ix := BuildVizIndex(vizs, 0)
+			b.Run(fmt.Sprintf("%s/N=%d/Scan", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/N=%d/Indexed", c.name, n), func(b *testing.B) {
+				var st IndexStats
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := plan.RunIndexedStatsContext(context.Background(), ix, &st); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(st.Visited)/float64(st.Candidates), "visited_frac")
+			})
+			b.Run(fmt.Sprintf("%s/N=%d/Build", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					BuildVizIndex(vizs, 0)
+				}
+			})
+		}
 	}
 }

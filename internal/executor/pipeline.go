@@ -195,7 +195,7 @@ func runPlans(ctx context.Context, plans []*Plan, n int, viz func(int) *Viz) ([]
 		}
 		return out, nil
 	}
-	if p0.prune && !p0.opts.DisableAutoIndex && n >= lazyIndexMinCorpus {
+	if p0.prune && !p0.opts.DisableAutoIndex && n >= IndexMinCorpus {
 		// Corpus-scale inputs route through the shape index even without a
 		// prebuilt one: materialize the grouped candidates once (positions
 		// preserved — they are the ranking tie-break), build the sharded

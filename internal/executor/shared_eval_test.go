@@ -167,6 +167,52 @@ func TestSharedEvalMatchesNaiveDP(t *testing.T) {
 	}
 }
 
+// TestSharedEvalTieLowestAlternativeWins pins evalVizShared's tie rule on
+// an exact tie: over a constant series every fitted slope is 0, so "u" and
+// "u ; u" score bit-identically over different ranges. Shared evaluation
+// visits alternatives by unit count, so the declaration-order winner is the
+// lowest alternative index whichever order the query spells them in —
+// swapping the declaration swaps the returned BreakXs.
+func TestSharedEvalTieLowestAlternativeWins(t *testing.T) {
+	ys := make([]float64, 20)
+	for i := range ys {
+		ys[i] = 3
+	}
+	series := []dataset.Series{mkSeries("flat", ys...)}
+	oneUnit := []float64{0, 19}
+	twoUnits := []float64{0, 16, 19}
+	for _, tc := range []struct {
+		q    string
+		want []float64
+	}{{"u | (u ; u)", oneUnit}, {"(u ; u) | u", twoUnits}} {
+		for _, pruning := range []bool{false, true} {
+			opts := seqOpts()
+			opts.Pruning = pruning
+			plan, err := Compile(regexlang.MustParse(tc.q), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vizs := plan.GroupSeries(series)
+			ec := newEvalCtx()
+			a0 := solveChain(ec.compile(vizs[0], plan.norm.Alternatives[0], plan.opts), plan.solver)
+			a1 := solveChain(ec.compile(vizs[0], plan.norm.Alternatives[1], plan.opts), plan.solver)
+			if math.Float64bits(a0.score) != math.Float64bits(a1.score) {
+				t.Fatalf("%s: alternatives score %v and %v; the test needs an exact tie", tc.q, a0.score, a1.score)
+			}
+			got, err := plan.RunGrouped(vizs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 {
+				t.Fatalf("%s (pruning=%v): %d results, want 1", tc.q, pruning, len(got))
+			}
+			if fmt.Sprint(got[0].BreakXs) != fmt.Sprint(tc.want) {
+				t.Fatalf("%s (pruning=%v): BreakXs %v, want %v (alternative 0)", tc.q, pruning, got[0].BreakXs, tc.want)
+			}
+		}
+	}
+}
+
 // TestSharedFloorLockFree hammers sharedTopK from concurrent adders and
 // lock-free floor readers (run with -race): the published floor must always
 // be a value the heap actually held, monotone non-decreasing, and equal to

@@ -92,8 +92,10 @@ func group(s dataset.Series, cfg groupConfig) *Viz {
 		return nil
 	}
 	v := &Viz{Series: s}
-	v.NX = make([]float64, n)
-	v.NY = make([]float64, n)
+	// NX and NY share one allocation; the full-slice expression caps NX so
+	// nothing can grow it into NY.
+	xy := make([]float64, 2*n)
+	v.NX, v.NY = xy[:n:n], xy[n:]
 	xmin, xmax := s.X[0], s.X[n-1]
 	span := xmax - xmin
 	if span <= 0 {
@@ -112,16 +114,20 @@ func group(s dataset.Series, cfg groupConfig) *Viz {
 			v.Skipped[i] = !dataset.InRanges(s.X[i], cfg.keepRanges)
 		}
 	}
-	bins := make([]segstat.Stats, n)
+	// One pass: p[i+1] = Merge(p[i], b) with b point i's one-point Stats
+	// (empty for skipped points; fits over them are invalid anyway) — the
+	// exact Merge sequence segstat.BuildPrefix runs over per-point bins, so
+	// every fit is bit-identical to the bins form
+	// (TestGroupPrefixMatchesBuildPrefix).
+	p := make(segstat.Prefix, n+1)
 	for i := 0; i < n; i++ {
-		if v.Skipped != nil && v.Skipped[i] {
-			continue // contributes empty stats; fits over skipped points are invalid anyway
-		}
 		var b segstat.Stats
-		b.Add(v.NX[i], v.NY[i])
-		bins[i] = b
+		if v.Skipped == nil || !v.Skipped[i] {
+			b.Add(v.NX[i], v.NY[i])
+		}
+		p[i+1] = segstat.Merge(p[i], b)
 	}
-	v.Prefix = segstat.BuildPrefix(bins)
+	v.Prefix = p
 	return v
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"shapesearch/internal/dataset"
+	"shapesearch/internal/gen"
 	"shapesearch/internal/regexlang"
+	"shapesearch/internal/segstat"
 	"shapesearch/internal/shape"
 )
 
@@ -35,6 +37,65 @@ func TestGroupSkipRanges(t *testing.T) {
 	if sc := ce.unitScore(0, 3, 6); sc <= 0 {
 		t.Fatalf("fit inside kept range = %v, want positive", sc)
 	}
+}
+
+// TestGroupPrefixMatchesBuildPrefix: GROUP's one-pass prefix must equal,
+// bit for bit, segstat.BuildPrefix over explicit per-point bins — one
+// b.Add per kept point, an empty bin per skipped one — the form every fit
+// was validated against. Edge cases: push-down skip windows, zero
+// variance, the two-point minimum, −0 and magnitudes that overflow the
+// running sums.
+func TestGroupPrefixMatchesBuildPrefix(t *testing.T) {
+	type tc struct {
+		name string
+		s    dataset.Series
+		cfg  groupConfig
+	}
+	rng := rand.New(rand.NewSource(5))
+	var cases []tc
+	for i := 0; i < 20; i++ {
+		s := randomSeries(rng, 2+rng.Intn(90))
+		lo := s.X[0] + rng.Float64()*s.X[len(s.X)-1]
+		cases = append(cases,
+			tc{"random", s, groupConfig{zNormalize: true}},
+			tc{"random-skip", s, groupConfig{zNormalize: i%2 == 0, keepRanges: [][2]float64{{lo, lo + 5}, {lo + 20, lo + 30}}}})
+	}
+	cases = append(cases,
+		tc{"constant", mkSeries("c", 7, 7, 7, 7, 7, 7), groupConfig{zNormalize: true}},
+		tc{"constant-raw", mkSeries("c", 7, 7, 7, 7, 7, 7), groupConfig{}},
+		tc{"n=2", mkSeries("two", 1, -3), groupConfig{zNormalize: true}},
+		tc{"n=2-raw", mkSeries("two", 1, -3), groupConfig{}},
+		tc{"negzero", mkSeries("z", math.Copysign(0, -1), 0, math.Copysign(0, -1), 2), groupConfig{}},
+		tc{"huge", mkSeries("h", 1e308, -1e308, 1e308, 1e308, 5e-324, -1e300), groupConfig{}},
+		tc{"huge-norm", mkSeries("h", 1e300, -1e300, 1e300, 3), groupConfig{zNormalize: true}},
+	)
+	for _, c := range cases {
+		v := group(c.s, c.cfg)
+		n := c.s.Len()
+		if cap(v.NX) != n {
+			t.Fatalf("%s: cap(NX) = %d, want %d (NX must not grow into NY)", c.name, cap(v.NX), n)
+		}
+		bins := make([]segstat.Stats, n)
+		for i := range bins {
+			if v.Skipped == nil || !v.Skipped[i] {
+				bins[i].Add(v.NX[i], v.NY[i])
+			}
+		}
+		want := segstat.BuildPrefix(bins)
+		if len(v.Prefix) != len(want) {
+			t.Fatalf("%s: prefix length %d, want %d", c.name, len(v.Prefix), len(want))
+		}
+		for i := range want {
+			if g, w := v.Prefix[i], want[i]; statBits(g) != statBits(w) {
+				t.Fatalf("%s: Prefix[%d] = %+v, want %+v", c.name, i, g, w)
+			}
+		}
+	}
+}
+
+func statBits(s segstat.Stats) [5]uint64 {
+	return [5]uint64{math.Float64bits(s.SumX), math.Float64bits(s.SumY),
+		math.Float64bits(s.SumXY), math.Float64bits(s.SumXX), math.Float64bits(s.N)}
 }
 
 // TestGroupNormalizedSlopeInvariance: after normalization, the fitted slope
@@ -247,5 +308,19 @@ func TestSearchPrunedMatchesPlainOnSearch(t *testing.T) {
 		if a[i].Z != b[i].Z || a[i].Score != b[i].Score {
 			t.Fatalf("rank %d: pruned %s %.12f != plain %s %.12f", i, b[i].Z, b[i].Score, a[i].Z, a[i].Score)
 		}
+	}
+}
+
+// BenchmarkGroupSeries measures the GROUP operator alone on a
+// drilldown-sized candidate set: 400 series of 70 points.
+func BenchmarkGroupSeries(b *testing.B) {
+	series := gen.DriftPeaksSeries(400, 70, 16, 1)
+	plan, err := Compile(regexlang.MustParse("u ; d"), DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		plan.GroupSeries(series)
 	}
 }

@@ -215,7 +215,7 @@ func (s *Server) patchOne(snap entrySnapshot, ix *dataset.Index, delta *dataset.
 		// generation under us; the caller re-reads and retries.
 		return false, true
 	}
-	if len(cc.vizs) >= indexMinVizs && (cc.index == nil || cc.index.Staleness() >= s.rebuildThreshold) {
+	if len(cc.vizs) >= executor.IndexMinCorpus && (cc.index == nil || cc.index.Staleness() >= s.rebuildThreshold) {
 		s.scheduleRebuild(snap.key, gen, cc)
 	}
 	return true, false

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"shapesearch/internal/dataset"
+	"shapesearch/internal/executor"
 	"shapesearch/internal/gen"
 )
 
@@ -46,6 +48,30 @@ func searchCanonical(t *testing.T, s *Server, query string, k int, pruning bool)
 	return string(out)
 }
 
+// indexedSeries sizes the corpus of every test that exercises the cached
+// shape index: just past executor.IndexMinCorpus, the size from which the
+// server builds one, and no larger.
+const indexedSeries = executor.IndexMinCorpus + 64
+
+// requireIndexed fails unless every cached candidate set of dataset ds
+// carries a shape index (want=true) or none does (want=false), so a test
+// written for one path cannot drift to the other unnoticed.
+func requireIndexed(t testing.TB, s *Server, ds string, want bool) {
+	t.Helper()
+	s.mu.RLock()
+	version := s.versions[ds]
+	s.mu.RUnlock()
+	snaps := s.cache.snapshotDataset(ds, cacheKeyPrefix(ds, version))
+	if len(snaps) == 0 {
+		t.Fatalf("no cached entry for %q", ds)
+	}
+	for _, sn := range snaps {
+		if got := sn.cands.index != nil; got != want {
+			t.Fatalf("%q entry with %d vizs: has shape index = %v, want %v", ds, len(sn.cands.vizs), got, want)
+		}
+	}
+}
+
 func cacheMisses(s *Server) uint64 {
 	_, m := s.cache.stats()
 	return m
@@ -75,7 +101,8 @@ func assertAppendedMatchesFresh(t *testing.T, s *Server, applied []*dataset.Tabl
 }
 
 // TestAppendMatchesRegister drives random append schedules — in-order and
-// out-of-order x, indexed (>= indexMinVizs series) and flat corpora,
+// out-of-order x, indexed (executor.IndexMinCorpus series and up) and flat
+// corpora,
 // default and aggressive rebuild thresholds — and checks after every batch
 // that searches on the appended server are byte-identical to a fresh
 // Register of the concatenated table, served from the patched cache entry
@@ -87,11 +114,12 @@ func TestAppendMatchesRegister(t *testing.T) {
 		nBatches, batchPts int
 		inOrder            bool
 		rebuildThreshold   int
+		indexed            bool
 	}{
-		{"indexed-inorder", 300, 8, 3, 150, true, 0},
-		{"indexed-outoforder-rebuild1", 300, 8, 3, 150, false, 1},
-		{"flat-inorder", 40, 10, 4, 25, true, 0},
-		{"flat-outoforder", 40, 10, 4, 25, false, 0},
+		{"indexed-inorder", indexedSeries, 8, 3, 150, true, 0, true},
+		{"indexed-outoforder-rebuild1", indexedSeries, 8, 3, 150, false, 1, true},
+		{"flat-inorder", 40, 10, 4, 25, true, 0, false},
+		{"flat-outoforder", 40, 10, 4, 25, false, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,12 +138,14 @@ func TestAppendMatchesRegister(t *testing.T) {
 			for _, q := range appendQueries {
 				searchCanonical(t, s, q, 10, true)
 			}
+			requireIndexed(t, s, "ticks", tc.indexed)
 			applied := []*dataset.Table{pristine}
 			for bi, delta := range batches {
 				if _, _, err := s.AppendRows("ticks", delta); err != nil {
 					t.Fatal(err)
 				}
 				s.rebuildWG.Wait()
+				requireIndexed(t, s, "ticks", tc.indexed)
 				applied = append(applied, delta)
 				missesBefore := cacheMisses(s)
 				assertAppendedMatchesFresh(t, s, applied, tc.name+": batch "+string(rune('0'+bi)))
@@ -159,12 +189,13 @@ func seriesTable(t *testing.T, prefix string, numSeries, pts int) *dataset.Table
 // serving from the patched entry.
 func TestAppendNewGroups(t *testing.T) {
 	s := New()
-	base, _ := gen.StreamTicks(300, 8, 0, 0, 7, true)
-	pristine, _ := gen.StreamTicks(300, 8, 0, 0, 7, true)
+	base, _ := gen.StreamTicks(indexedSeries, 8, 0, 0, 7, true)
+	pristine, _ := gen.StreamTicks(indexedSeries, 8, 0, 0, 7, true)
 	s.Register("ticks", base)
 	for _, q := range appendQueries {
 		searchCanonical(t, s, q, 10, true)
 	}
+	requireIndexed(t, s, "ticks", true)
 	applied := []*dataset.Table{pristine}
 
 	// StreamTicks series are named tick…, so "zz-…" sorts after all of them
@@ -174,6 +205,7 @@ func TestAppendNewGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.rebuildWG.Wait()
+	requireIndexed(t, s, "ticks", true)
 	applied = append(applied, endDelta)
 	misses := cacheMisses(s)
 	assertAppendedMatchesFresh(t, s, applied, "end-append of new groups")
@@ -186,6 +218,7 @@ func TestAppendNewGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.rebuildWG.Wait()
+	requireIndexed(t, s, "ticks", true)
 	applied = append(applied, midDelta)
 	misses = cacheMisses(s)
 	assertAppendedMatchesFresh(t, s, applied, "mid-insert of new groups")
@@ -213,12 +246,13 @@ func entryIndexStaleness(t *testing.T, s *Server) int {
 // threshold at 1 every append schedules a background rebuild that resets
 // staleness to zero.
 func TestAppendRebuildPolicy(t *testing.T) {
-	base, batches := gen.StreamTicks(300, 8, 1, 80, 11, true)
-	base2, _ := gen.StreamTicks(300, 8, 1, 80, 11, true)
+	base, batches := gen.StreamTicks(indexedSeries, 8, 1, 80, 11, true)
+	base2, _ := gen.StreamTicks(indexedSeries, 8, 1, 80, 11, true)
 
 	s := New()
 	s.Register("ticks", base)
 	searchCanonical(t, s, "u", 5, true)
+	requireIndexed(t, s, "ticks", true)
 	if _, _, err := s.AppendRows("ticks", batches[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +264,7 @@ func TestAppendRebuildPolicy(t *testing.T) {
 	s2 := New(WithIndexRebuildThreshold(1))
 	s2.Register("ticks", base2)
 	searchCanonical(t, s2, "u", 5, true)
+	requireIndexed(t, s2, "ticks", true)
 	if _, _, err := s2.AppendRows("ticks", batches[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +272,29 @@ func TestAppendRebuildPolicy(t *testing.T) {
 	if st := entryIndexStaleness(t, s2); st != 0 {
 		t.Fatalf("threshold 1: expected a background rebuild to reset staleness, got %d", st)
 	}
+}
+
+// TestIndexThreshold pins the server's index-or-scan rule to
+// executor.IndexMinCorpus: a cached entry one viz short of it carries no
+// shape index, and the append that grows it to the threshold schedules the
+// entry's first index build.
+func TestIndexThreshold(t *testing.T) {
+	s := New()
+	registerMany(t, s, "many", executor.IndexMinCorpus-1)
+	searchDemo(t, s, "u ; d", "many")
+	requireIndexed(t, s, "many", false)
+	// registerMany names series s0000, s0001, …, so the new series sorts
+	// last and the patch extends the cached slice in place.
+	var csv strings.Builder
+	csv.WriteString("z,x,y\n")
+	for j := 0; j < 9; j++ {
+		fmt.Fprintf(&csv, "s%04d,%d,%d\n", executor.IndexMinCorpus-1, j, j)
+	}
+	if rec := appendCSV(t, s, "many", csv.String()); rec.Code != http.StatusOK {
+		t.Fatalf("append status = %d: %s", rec.Code, rec.Body.String())
+	}
+	s.rebuildWG.Wait()
+	requireIndexed(t, s, "many", true)
 }
 
 // TestAppendDropsPinnedEntries: plans with pinned push-down windows group

@@ -10,8 +10,9 @@ import (
 )
 
 // appendBenchSeries sizes the benchmark corpus at shape-index scale: well
-// past indexMinVizs, so the cached entry carries a shape index and the
-// append path has every layer to maintain.
+// past executor.IndexMinCorpus, so the cached entry carries a shape index
+// (requireIndexed checks it) and the append path has every layer to
+// maintain.
 const appendBenchSeries = 100_000
 
 // serveTickSearch issues one cached-path search against the bench corpus.
@@ -51,6 +52,7 @@ func BenchmarkAppend(b *testing.B) {
 			s := New()
 			s.Register("ticks", base)
 			serveTickSearch(b, s) // warm: build and cache the candidate set + shape index
+			requireIndexed(b, s, "ticks", true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := s.AppendRows("ticks", batches[i%len(batches)]); err != nil {

@@ -34,8 +34,9 @@ func cacheKeyPrefix(dataset string, version uint64) string {
 // cachedCandidates is one candidate-cache entry's payload: the grouped
 // candidate visualizations plus — for corpus-scale entries — the prebuilt
 // shape index over their bound summaries, so repeated queries pay the index
-// build once alongside EXTRACT + GROUP, not per search. index is nil for
-// small corpora (below indexMinVizs) and when the engine cannot use it.
+// build once alongside EXTRACT + GROUP, not per search. index is nil below
+// executor.IndexMinCorpus vizs: those entries run the flat bound-first
+// scan.
 //
 // espec, plan and patchable are the append path's repair metadata: the
 // effective extract spec the vizs were built from, one plan whose GROUP

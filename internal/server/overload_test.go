@@ -304,9 +304,10 @@ func TestSearchDuringAppendPatch(t *testing.T) {
 	}
 }
 
-// registerMany registers a dataset with enough series to cross
-// indexMinVizs, so its cached candidate set carries a shape index and
-// appends schedule background rebuilds.
+// registerMany registers a dataset of the given number of 9-point series.
+// From executor.IndexMinCorpus series up (indexedSeries) its cached
+// candidate set carries a shape index and appends schedule background
+// rebuilds.
 func registerMany(t *testing.T, s *Server, name string, series int) {
 	t.Helper()
 	var zs []string
@@ -341,8 +342,9 @@ func registerMany(t *testing.T, s *Server, name string, series int) {
 func TestRebuildPausesUnderLoad(t *testing.T) {
 	s := testServer(t, WithSearchConcurrency(1), WithIndexRebuildThreshold(1))
 	s.appendYieldMax = time.Millisecond // keep the append's own yield out of the way
-	registerMany(t, s, "many", indexMinVizs+8)
+	registerMany(t, s, "many", indexedSeries)
 	searchDemo(t, s, "u ; d", "many") // build the cached entry + shape index
+	requireIndexed(t, s, "many", true)
 
 	started := make(chan struct{})
 	built := make(chan struct{})

@@ -90,12 +90,6 @@ type Server struct {
 	logf func(format string, args ...any)
 }
 
-// indexMinVizs is the corpus size at which a candidate-cache entry also
-// carries a prebuilt shape index: repeated queries then traverse the corpus
-// best-first instead of bounding every candidate. Below it the index build
-// costs more than the first few searches save.
-const indexMinVizs = 256
-
 // Option configures a Server at construction.
 type Option func(*Server)
 
@@ -648,7 +642,9 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 		}
 		vizs := plan.GroupSeries(series)
 		cc := cachedCandidates{vizs: vizs, espec: espec, plan: plan, patchable: plan.PinFree(), zpos: buildZPos(vizs)}
-		if len(vizs) >= indexMinVizs {
+		if len(vizs) >= executor.IndexMinCorpus {
+			// The executor's own index-or-scan rule, so the two cannot
+			// drift apart: smaller entries run the flat bound-first scan.
 			// The index is query-independent (built from the vizs alone), so
 			// every plan sharing this candidate key shares it too.
 			//lint:ignore ctxpropagate coalesced waiters share this singleflight build, so one requester's ctx must not cancel it
