@@ -50,7 +50,7 @@ func runSearch(b *testing.B, series []dataset.Series, query string, opts executo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeries(series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkFig11_Pushdown(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := executor.Search(ix, ds.Spec, q, opts); err != nil {
+				if _, err := shapesearch.Search(ix, ds.Spec, q, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,11 +117,11 @@ func BenchmarkFig12_Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts(executor.AlgDP, false)
 		opts.K = 20
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeries(series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 		opts.Algorithm = executor.AlgSegmentTree
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeries(series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkTable11_QueryVerification(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := executor.SearchSeries(series, q, opts)
+		res, err := shapesearch.SearchSeries(series, q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func BenchmarkPlanReuse(b *testing.B) {
 	b.Run("Recompile", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.SearchSeries(series, q, opts); err != nil {
+			if _, err := shapesearch.SearchSeries(series, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -367,7 +367,7 @@ func BenchmarkPlanReuse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.RunGrouped(vizs); err != nil {
+			if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -385,7 +385,7 @@ var batchQueryPool = []string{
 }
 
 // BenchmarkSearchBatch compares Q related queries executed as one
-// MultiPlan pass against Q sequential Plan.Search calls — the serving
+// MultiPlan pass against Q sequential Plan.SearchContext calls — the serving
 // comparison: sequential pays EXTRACT + GROUP + SEGMENT + SCORE per
 // query, the batch pays extraction and grouping once and shares
 // per-candidate segmentation state, memo entries and bound caches across
@@ -412,7 +412,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range plans {
-					if _, err := p.Search(ix, ds.Spec); err != nil {
+					if _, err := p.SearchContext(context.Background(), ix, ds.Spec); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -426,7 +426,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mp.Search(ix, ds.Spec); err != nil {
+				if _, err := mp.SearchContext(context.Background(), ix, ds.Spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,8 +458,8 @@ func BenchmarkSearchPruned(b *testing.B) {
 // sub-linearly — a 10× corpus should cost well under 10× latency because
 // envelope bounds skip whole subtrees, and the visited fraction should
 // fall as N grows. The Scan sub-benchmark is the flat bound-first pruned
-// scan over the same pre-grouped candidates (DisableAutoIndex keeps it off
-// the index), the O(N) path the index replaces. Corpus generation, grouping
+// scan over the same pre-grouped candidates (every run without a prebuilt
+// index), the O(N) path the index replaces. Corpus generation, grouping
 // and the index build all sit outside the timer: the index is
 // query-independent and built once per corpus, the serving pattern.
 func BenchmarkIndexScaling(b *testing.B) {
@@ -484,17 +484,11 @@ func BenchmarkIndexScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Visited)/float64(st.Candidates), "visited-frac")
 		})
-		flatOpts := opts
-		flatOpts.DisableAutoIndex = true
-		flat, err := executor.Compile(q, flatOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(fmt.Sprintf("N=%d/Scan", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := flat.RunGrouped(vizs); err != nil {
+				if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,7 +31,8 @@ import (
 //     function enclosing it, has a context.Context parameter. The wrapper
 //     runs FooContext under context.Background(), so calling it with a ctx
 //     in scope severs cancellation without a Background() in sight —
-//     which is how a batch run's lazy index build slipped past rule 2.
+//     which is how the executor's former lazy index build slipped past
+//     rule 2.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never, Foo never where FooContext exists and a ctx is in scope",

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func allocSeries(n, points int) []dataset.Series {
 }
 
 // TestSteadyStateAllocs pins the scoring kernel's allocation budget:
-// steady-state Plan.RunGrouped must not allocate per candidate beyond the
+// steady-state Plan.RunGroupedContext must not allocate per candidate beyond the
 // few escaping result slices (the winning range assignment and BreakXs) —
 // everything else lives in the pooled per-worker evalCtx. Before the
 // pooled kernel the SegmentTree path allocated ~400 heap objects per
@@ -63,16 +64,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("grouped %d vizs, want %d", len(vizs), nSeries)
 			}
 			// Warm the context pool and the per-viz memos.
-			if _, err := plan.RunGrouped(vizs); err != nil {
+			if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(5, func() {
-				if _, err := plan.RunGrouped(vizs); err != nil {
+				if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg > budget {
-				t.Errorf("steady-state RunGrouped allocates %.0f objects per run, budget %d", avg, budget)
+				t.Errorf("steady-state RunGroupedContext allocates %.0f objects per run, budget %d", avg, budget)
 			}
 		})
 	}
@@ -136,16 +137,16 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			vizs := plans[0].GroupSeries(series)
-			if _, err := mp.RunGrouped(vizs); err != nil {
+			if _, err := mp.RunGroupedContext(context.Background(), vizs); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(5, func() {
-				if _, err := mp.RunGrouped(vizs); err != nil {
+				if _, err := mp.RunGroupedContext(context.Background(), vizs); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg > budget {
-				t.Errorf("steady-state batch RunGrouped allocates %.0f objects per run, budget %d", avg, budget)
+				t.Errorf("steady-state batch RunGroupedContext allocates %.0f objects per run, budget %d", avg, budget)
 			}
 		})
 	}
@@ -195,8 +196,8 @@ func TestSteadyStateAllocsIndexed(t *testing.T) {
 				budget int
 				run    func() error
 			}{
-				{"single", 4 * nSeries, func() error { _, err := plans[0].RunIndexed(ix); return err }},
-				{"batch", 4 * nSeries * nq, func() error { _, err := mp.RunIndexed(ix); return err }},
+				{"single", 4 * nSeries, func() error { _, err := plans[0].RunIndexedStatsContext(context.Background(), ix, nil); return err }},
+				{"batch", 4 * nSeries * nq, func() error { _, err := mp.RunIndexedContext(context.Background(), ix); return err }},
 			} {
 				if err := tc.run(); err != nil {
 					t.Fatal(err)
@@ -227,11 +228,11 @@ func TestSteadyStateAllocsQuantifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	vizs := plan.GroupSeries(series)
-	if _, err := plan.RunGrouped(vizs); err != nil {
+	if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := plan.RunGrouped(vizs); err != nil {
+		if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -239,7 +240,7 @@ func TestSteadyStateAllocsQuantifier(t *testing.T) {
 	// allocation per positive evaluation); the budget tolerates that while
 	// forbidding the old per-range pair/run slice churn.
 	if budget := 60.0 * float64(len(series)); avg > budget {
-		t.Errorf("quantifier RunGrouped allocates %.0f objects per run, budget %.0f", avg, budget)
+		t.Errorf("quantifier RunGroupedContext allocates %.0f objects per run, budget %.0f", avg, budget)
 	}
 }
 

@@ -219,11 +219,11 @@ func TestPruningPreservesTopK(t *testing.T) {
 	pruned.Pruning = true
 
 	q := regexlang.MustParse("u ; d")
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchSeries(series, q, pruned)
+	got, err := searchSeries(series, q, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}

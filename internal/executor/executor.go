@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -96,12 +95,6 @@ type Options struct {
 	// DTWBand is the Sakoe–Chiba band half-width for AlgDTW
 	// (default −1: unconstrained).
 	DTWBand int
-	// DisableAutoIndex keeps large pruned scans on the flat bound-first
-	// path instead of building a throwaway corpus shape index per run (see
-	// internal/shapeindex). Results are identical either way; the flag
-	// exists for benchmarking the flat scan and for corpora where the
-	// caller knows bound separation is poor.
-	DisableAutoIndex bool
 
 	// nestedPre holds nested sub-queries pre-normalized at Compile time,
 	// keyed by sub-query root. Read-only after Compile; nested-pattern
@@ -180,48 +173,6 @@ type Result struct {
 	BreakXs []float64
 	// Series is the matched trendline's raw data.
 	Series dataset.Series
-}
-
-// Search extracts candidate visualizations from a data source (a
-// *dataset.Index, or a bare *dataset.Table indexed for this one call) per
-// the visual parameters and ranks them against the query: the full
-// EXTRACT → GROUP → SEGMENT → SCORE pipeline. For non-fuzzy queries with
-// push-down enabled, LOCATION windows are pushed into EXTRACT so rows
-// outside every referenced x range are never materialized (Section 5.4
-// (a)/(c); the paper re-adds the ignored ranges only when plotting the
-// top-k).
-//
-// Search is a thin compatibility wrapper over Compile + Plan.Search;
-// callers issuing the same query repeatedly should compile once and reuse
-// the plan.
-func Search(src dataset.Source, spec dataset.ExtractSpec, q shape.Query, opts Options) ([]Result, error) {
-	return SearchContext(context.Background(), src, spec, q, opts)
-}
-
-// SearchContext is Search with cooperative cancellation: the worker pool
-// checks ctx between candidates and the call returns ctx.Err() once every
-// worker has stopped.
-func SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec, q shape.Query, opts Options) ([]Result, error) {
-	p, err := Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.SearchContext(ctx, src, spec)
-}
-
-// SearchSeries ranks pre-extracted series against the query. It is a thin
-// compatibility wrapper over Compile + Plan.Run.
-func SearchSeries(series []dataset.Series, q shape.Query, opts Options) ([]Result, error) {
-	return SearchSeriesContext(context.Background(), series, q, opts)
-}
-
-// SearchSeriesContext is SearchSeries with cooperative cancellation.
-func SearchSeriesContext(ctx context.Context, series []dataset.Series, q shape.Query, opts Options) ([]Result, error) {
-	p, err := Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, series)
 }
 
 // solver picks the runSolver for the configured algorithm.

@@ -35,11 +35,11 @@ import (
 // (TestIndexedSearchMatchesScan).
 
 // IndexMinCorpus is the one corpus-size rule for "shape index or flat
-// scan": a pruned run over at least this many candidates builds a throwaway
-// index instead of flat-scanning, and callers that cache candidate sets
-// (the server) prebuild one for every set this large. Smaller corpora
-// always flat-scan. BenchmarkIndexCrossover measures the scan, the build
-// and the indexed traversal on both sides of it.
+// scan": callers that keep candidate sets (the server) build an index for
+// every set this large and traverse it on every later search. A run
+// without a prebuilt index always flat-scans — building an index to
+// traverse it once never beats the scan (BenchmarkIndexCrossover measures
+// the scan, the build and the indexed traversal on both sides of it).
 const IndexMinCorpus = 4096
 
 // VizIndex pairs grouped candidate visualizations with the corpus shape
@@ -228,35 +228,17 @@ func envChainUpperBound(ec *evalCtx, s *shapeindex.Summary, ps *pruneStats, alt 
 	return chainUB
 }
 
-// RunIndexed ranks the indexed candidates against the compiled query.
-func (p *Plan) RunIndexed(ix *VizIndex) ([]Result, error) {
-	return p.RunIndexedContext(context.Background(), ix)
-}
-
-// RunIndexedContext is RunIndexed with cooperative cancellation (see
-// SearchContext).
-func (p *Plan) RunIndexedContext(ctx context.Context, ix *VizIndex) ([]Result, error) {
-	return p.RunIndexedStatsContext(ctx, ix, nil)
-}
-
-// RunIndexedStatsContext additionally fills st (when non-nil) with traversal
-// statistics. Engines without a sound bound to traverse by (distance
-// baselines, pruning disabled) fall back to the flat pipeline over the
-// indexed slice — same results, no skipping.
+// RunIndexedStatsContext ranks the indexed candidates against the compiled
+// query, with cooperative cancellation (see SearchContext), and fills st
+// (when non-nil) with traversal statistics. Engines without a sound bound
+// to traverse by (distance baselines, pruning disabled) fall back to the
+// flat pipeline over the indexed slice — same results, no skipping.
 func (p *Plan) RunIndexedStatsContext(ctx context.Context, ix *VizIndex, st *IndexStats) ([]Result, error) {
-	out, err := runPlansIndexed(ctx, []*Plan{p}, ix, st)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return only(runPlansIndexed(ctx, []*Plan{p}, ix, st))
 }
 
-// RunIndexed ranks the indexed candidates for every query in the batch.
-func (mp *MultiPlan) RunIndexed(ix *VizIndex) ([][]Result, error) {
-	return mp.RunIndexedContext(context.Background(), ix)
-}
-
-// RunIndexedContext is the batch counterpart of Plan.RunIndexedContext: one
+// RunIndexedContext ranks the indexed candidates for every query in the
+// batch, the batch counterpart of Plan.RunIndexedStatsContext: one
 // traversal serves every query, descending by the max-over-queries envelope
 // bound (a subtree is skipped only when every query's floor dominates its
 // bound for that query) and sharing each visited member's bound caches and

@@ -98,9 +98,7 @@ func TestIndexedBoundDominatesSound(t *testing.T) {
 // TestIndexedSearchMatchesScan is the indexed extension of the lossless
 // contract: whatever the worker count, shard count, query shape or k, the
 // indexed ranking — identities, order and exact scores — must be
-// byte-identical to the unpruned sequential scan. (The unpruned scan is the
-// ground truth on purpose: above IndexMinCorpus the pruned scan itself
-// routes through the index.)
+// byte-identical to the unpruned sequential scan.
 func TestIndexedSearchMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -113,7 +111,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 				base.Parallelism = 1
 				base.K = k
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +125,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 					}
 					vizs := plan.GroupSeries(series)
 					for _, shards := range []int{1, 3} {
-						got, err := plan.RunIndexed(BuildVizIndex(vizs, shards))
+						got, err := plan.RunIndexedStatsContext(context.Background(), BuildVizIndex(vizs, shards), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -162,7 +160,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 	}
 	vizs := mp.plans[0].GroupSeries(series)
 	for _, shards := range []int{1, 3} {
-		got, err := mp.RunIndexed(BuildVizIndex(vizs, shards))
+		got, err := mp.RunIndexedContext(context.Background(), BuildVizIndex(vizs, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +168,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 			base := opts
 			base.Parallelism = 1
 			base.Pruning = false
-			want, err := SearchSeries(series, regexlang.MustParse(query), base)
+			want, err := searchSeries(series, regexlang.MustParse(query), base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,10 +177,11 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 	}
 }
 
-// TestLargeCorpusIndexedSmoke exercises the lazy auto-index path (corpus
-// above IndexMinCorpus) end to end on a separated corpus and checks the
-// index actually skips work: results identical to the unpruned scan, and
-// strictly fewer members visited than the corpus holds.
+// TestLargeCorpusIndexedSmoke runs a corpus above IndexMinCorpus end to end
+// on a separated workload: the flat pruned scan (the path of a run without
+// a prebuilt index) and the indexed traversal must both equal the unpruned
+// scan, and the index must actually skip work — strictly fewer members
+// visited than the corpus holds.
 func TestLargeCorpusIndexedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-corpus smoke test skipped in -short mode")
@@ -195,13 +194,13 @@ func TestLargeCorpusIndexedSmoke(t *testing.T) {
 	base.Parallelism = 4
 	base.K = 10
 	base.Pruning = false
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Pruned Plan.Run auto-indexes at this size — the path servers without a
-	// prebuilt index take.
+	// Pruned Plan.Run flat-scans at any size: only a caller that keeps the
+	// candidates builds an index.
 	opts := base
 	opts.Pruning = true
 	plan, err := Compile(q, opts)
@@ -212,7 +211,7 @@ func TestLargeCorpusIndexedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "lazy auto-index", want, got)
+	assertSameResults(t, "flat pruned scan", want, got)
 
 	// Explicit index with stats: the envelope bounds must skip part of the
 	// corpus outright on a separated workload.
@@ -265,7 +264,7 @@ func TestIndexStatsPinned(t *testing.T) {
 // separation (planted patterns of every shape, so most bounds clear the
 // floor), gen.DriftPeaksSeries has it (a fixed planted strong set lifts the
 // floor above a drifting bulk). Per size, Scan is the flat pruned pipeline
-// (DisableAutoIndex keeps it off the index), Indexed traverses a prebuilt
+// (every run without a prebuilt index), Indexed traverses a prebuilt
 // index and reports the fraction of candidates it bounded individually as
 // visited_frac, and Build is the index build a candidate-cache miss pays
 // on top of Indexed.
@@ -287,7 +286,6 @@ func BenchmarkIndexCrossover(b *testing.B) {
 	opts.Algorithm = AlgSegmentTree
 	opts.K = 10
 	opts.Pruning = true
-	opts.DisableAutoIndex = true
 	plan, err := Compile(q, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,7 +89,7 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 						}
 					}
 				})
-				got, err := plan.RunIndexed(upd)
+				got, err := plan.RunIndexedStatsContext(context.Background(), upd, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +99,7 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := scanPlan.RunGrouped(upd.Vizs())
+				want, err := scanPlan.RunGroupedContext(context.Background(), upd.Vizs())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -72,7 +72,8 @@ func NewMultiPlan(plans []*Plan) (*MultiPlan, error) {
 			return nil, fmt.Errorf("executor: batch plan %d incompatible with plan 0: %w", i+1, err)
 		}
 	}
-	if plans[0].distance {
+	if len(plans) == 1 || plans[0].distance {
+		// A lone plan's chainMeta already is its own signature table.
 		// Distance rankings (DTW/Euclidean) have no unit signatures to
 		// share; the batch still amortizes EXTRACT + GROUP per candidate
 		// key, and each plan scans the shared candidates itself.
@@ -134,82 +135,76 @@ func compatibleOpts(a, b *Options) error {
 // Queries reports the number of queries in the batch.
 func (mp *MultiPlan) Queries() int { return len(mp.plans) }
 
-// Search runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline for the
-// whole batch, returning one result slice per query in input order.
-func (mp *MultiPlan) Search(src dataset.Source, spec dataset.ExtractSpec) ([][]Result, error) {
-	return mp.SearchContext(context.Background(), src, spec)
-}
-
-// SearchContext is Search with cooperative cancellation. Queries are
-// grouped by Plan.CandidateKey: queries whose effective spec and GROUP
-// configuration agree (equal keys guarantee identical grouped candidates)
-// extract and group once and score in one multi-query pass; each distinct
-// key pays one EXTRACT + GROUP. A serving layer with a candidate cache does
-// the same grouping itself and calls RunGroupedContext per cached entry.
+// SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline
+// for the whole batch, returning one result slice per query in input order
+// (see Plan.SearchContext for cancellation). Queries are grouped by
+// CandidateGroups: queries whose effective spec and GROUP configuration
+// agree (equal keys guarantee identical grouped candidates) extract once
+// and score in one multi-query pass; each distinct key pays one EXTRACT +
+// GROUP. A serving layer with a candidate cache groups the same way
+// itself and calls RunGroupedContext per cached entry.
 func (mp *MultiPlan) SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec) ([][]Result, error) {
-	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(spec) },
-		func(lead *Plan) ([]*Viz, error) {
-			series, err := src.Extract(lead.EffectiveSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return lead.GroupSeries(series), nil
-		})
+	return runByKey(ctx, mp.plans, spec, func(lead *Plan) ([]dataset.Series, error) {
+		return src.Extract(lead.EffectiveSpec(spec))
+	})
 }
 
-// Run ranks pre-extracted series for every query in the batch.
-func (mp *MultiPlan) Run(series []dataset.Series) ([][]Result, error) {
-	return mp.RunContext(context.Background(), series)
-}
-
-// RunContext is Run with cooperative cancellation. As in SearchContext,
-// queries sharing a GROUP configuration (push-down filter windows and
-// z-normalization — CandidateKey under an empty spec) group once.
+// RunContext ranks pre-extracted series for every query in the batch. As
+// in SearchContext, queries sharing a GROUP configuration (push-down filter
+// windows and z-normalization — CandidateKey under an empty spec) group
+// once.
 func (mp *MultiPlan) RunContext(ctx context.Context, series []dataset.Series) ([][]Result, error) {
-	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(dataset.ExtractSpec{}) },
-		func(lead *Plan) ([]*Viz, error) { return lead.GroupSeries(series), nil })
+	return runByKey(ctx, mp.plans, dataset.ExtractSpec{}, func(*Plan) ([]dataset.Series, error) { return series, nil })
 }
 
-// RunGrouped ranks pre-grouped candidates for every query in the batch.
-// The caller asserts the vizs are valid for all queries (same candidate
-// key — the server guarantees this per candidate-cache entry).
-func (mp *MultiPlan) RunGrouped(vizs []*Viz) ([][]Result, error) {
-	return mp.RunGroupedContext(context.Background(), vizs)
-}
-
-// RunGroupedContext is RunGrouped with cooperative cancellation.
+// RunGroupedContext ranks pre-grouped candidates for every query in the
+// batch, with cooperative cancellation. The caller asserts the vizs are
+// valid for all queries (same candidate key — the server guarantees this
+// per candidate-cache entry).
 func (mp *MultiPlan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([][]Result, error) {
 	return runPlans(ctx, mp.plans, len(vizs), func(i int) *Viz { return vizs[i] })
 }
 
-// runByKey partitions the queries by key, in first-appearance order
-// (deterministic across runs), and scores each partition in one pipeline
-// pass over the candidates its lead query produces.
-func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, candidates func(lead *Plan) ([]*Viz, error)) ([][]Result, error) {
-	groups := make(map[string][]int, len(mp.plans))
-	order := make([]string, 0, len(mp.plans))
-	for i, p := range mp.plans {
-		k := key(p)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
+// CandidateGroups partitions plans by CandidateKey(spec), in
+// first-appearance order (deterministic across runs), returning each
+// group's plan indices: the plans of one group share one grouped candidate
+// set, so they extract, group and score together. A lone plan is its own
+// group and computes no key.
+func CandidateGroups(plans []*Plan, spec dataset.ExtractSpec) [][]int {
+	if len(plans) == 1 {
+		return [][]int{{0}}
 	}
-	out := make([][]Result, len(mp.plans))
-	for _, k := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	at := make(map[string]int, len(plans))
+	var groups [][]int
+	for i, p := range plans {
+		k := p.CandidateKey(spec)
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
 		}
-		idxs := groups[k]
-		vizs, err := candidates(mp.plans[idxs[0]])
-		if err != nil {
-			return nil, err
-		}
-		plans := make([]*Plan, len(idxs))
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// runByKey scores each candidate group of plans (CandidateGroups under
+// spec) in one pipeline pass over the series its lead plan extracts.
+// Candidates are grouped lazily, as viz(i) inside the pipeline, so GROUP
+// runs on the worker pool.
+func runByKey(ctx context.Context, plans []*Plan, spec dataset.ExtractSpec, extract func(lead *Plan) ([]dataset.Series, error)) ([][]Result, error) {
+	groups := CandidateGroups(plans, spec)
+	if len(groups) == 1 {
+		return extractAndRun(ctx, plans, extract)
+	}
+	out := make([][]Result, len(plans))
+	for _, idxs := range groups {
+		part := make([]*Plan, len(idxs))
 		for gi, qi := range idxs {
-			plans[gi] = mp.plans[qi]
+			part[gi] = plans[qi]
 		}
-		res, err := runPlans(ctx, plans, len(vizs), func(i int) *Viz { return vizs[i] })
+		res, err := extractAndRun(ctx, part, extract)
 		if err != nil {
 			return nil, err
 		}
@@ -220,18 +215,18 @@ func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, candi
 	return out, nil
 }
 
-// SearchBatch compiles qs under one set of options and runs the whole batch
-// against the source in one pass — the convenience wrapper over
-// CompileBatch + MultiPlan.Search. Results are per query, in input order.
-func SearchBatch(src dataset.Source, spec dataset.ExtractSpec, qs []shape.Query, opts Options) ([][]Result, error) {
-	return SearchBatchContext(context.Background(), src, spec, qs, opts)
-}
-
-// SearchBatchContext is SearchBatch with cooperative cancellation.
-func SearchBatchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec, qs []shape.Query, opts Options) ([][]Result, error) {
-	mp, err := CompileBatch(qs, opts)
+// extractAndRun scores the series extract yields for plans' lead plan,
+// grouping each candidate inside the pipeline. Extraction itself is not
+// interruptible, but never starts for a request that is already dead — on
+// large tables EXTRACT is the most expensive phase before scoring.
+func extractAndRun(ctx context.Context, plans []*Plan, extract func(lead *Plan) ([]dataset.Series, error)) ([][]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	series, err := extract(plans[0])
 	if err != nil {
 		return nil, err
 	}
-	return mp.SearchContext(ctx, src, spec)
+	series, gcfg := plans[0].prepare(series)
+	return runPlans(ctx, plans, len(series), func(i int) *Viz { return group(series[i], gcfg) })
 }

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,7 +101,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: NewMultiPlan: %v", label, err)
 				}
-				got, err := mp.Run(series)
+				got, err := mp.RunContext(context.Background(), series)
 				if err != nil {
 					t.Fatalf("%s: batch Run: %v", label, err)
 				}
@@ -149,7 +150,7 @@ func TestMultiPlanDoesNotMutateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mp.Run(series); err != nil {
+	if _, err := mp.RunContext(context.Background(), series); err != nil {
 		t.Fatal(err)
 	}
 	if p1.opts.chainMeta != meta1 {

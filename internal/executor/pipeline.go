@@ -176,7 +176,9 @@ func (pl *pipeline) err(ctxErr error) error {
 
 // runPlans scores n candidates (viz(i) groups candidate i, nil skips it)
 // for every plan in one pass, returning results indexed like plans. The
-// plans must share one signature table and agree on compatibleOpts.
+// plans must share one signature table and agree on compatibleOpts. It
+// always flat-scans: only a caller that keeps candidate sets builds a shape
+// index, and then runs runPlansIndexed.
 func runPlans(ctx context.Context, plans []*Plan, n int, viz func(int) *Viz) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -184,7 +186,15 @@ func runPlans(ctx context.Context, plans []*Plan, n int, viz func(int) *Viz) ([]
 	p0 := plans[0]
 	if p0.distance {
 		// Distance baselines scan per plan: their per-(alternative, length)
-		// reference memos are plan-local.
+		// reference memos are plan-local. Several plans group each
+		// candidate once, up front, instead of once per plan.
+		if len(plans) > 1 {
+			vizs := make([]*Viz, n)
+			if err := forEachIndex(ctx, p0.opts.Parallelism, n, func(_, i int) { vizs[i] = viz(i) }); err != nil {
+				return nil, err
+			}
+			viz = func(i int) *Viz { return vizs[i] }
+		}
 		out := make([][]Result, len(plans))
 		for q, p := range plans {
 			res, err := p.distanceRun(ctx, n, viz)
@@ -194,22 +204,6 @@ func runPlans(ctx context.Context, plans []*Plan, n int, viz func(int) *Viz) ([]
 			out[q] = res
 		}
 		return out, nil
-	}
-	if p0.prune && !p0.opts.DisableAutoIndex && n >= IndexMinCorpus {
-		// Corpus-scale inputs route through the shape index even without a
-		// prebuilt one: materialize the grouped candidates once (positions
-		// preserved — they are the ranking tie-break), build the sharded
-		// envelope index, and traverse best-first instead of bounding all
-		// n. Below the threshold the flat scan stays cheaper than the build.
-		vizs := make([]*Viz, n)
-		if err := forEachIndex(ctx, p0.opts.Parallelism, n, func(_, i int) { vizs[i] = viz(i) }); err != nil {
-			return nil, err
-		}
-		ix, err := BuildVizIndexContext(ctx, vizs, 0)
-		if err != nil {
-			return nil, err
-		}
-		return runPlansIndexed(ctx, plans, ix, nil)
 	}
 	pl := newPipeline(ctx, plans, n)
 	defer pl.close()

@@ -239,25 +239,28 @@ func (p *Plan) PinFree() bool {
 	return !p.opts.Pushdown || len(p.pinned) == 0
 }
 
-// groupCfg builds the GROUP configuration for a series collection (the
-// skip-window padding depends on the collection's sampling interval).
-func (p *Plan) groupCfg(series []dataset.Series) groupConfig {
+// prepare runs the push-down filter over a series collection and derives
+// its GROUP configuration (the skip-window padding depends on the
+// collection's sampling interval): the inputs of both eager (GroupSeries)
+// and lazy (runByKey) grouping.
+func (p *Plan) prepare(series []dataset.Series) ([]dataset.Series, groupConfig) {
 	gcfg := groupConfig{zNormalize: !p.yConstrained}
-	if p.opts.Pushdown && p.allPinned && len(p.pinned) > 0 {
-		gcfg.keepRanges = padRanges(p.pinned, xStep(series)*1.5)
+	if p.opts.Pushdown && len(p.pinned) > 0 {
+		series = filterSeriesWithData(series, p.pinned)
+		if p.allPinned {
+			gcfg.keepRanges = padRanges(p.pinned, xStep(series)*1.5)
+		}
 	}
-	return gcfg
+	return series, gcfg
 }
 
 // GroupSeries runs the push-down filter and the GROUP operator over a
-// series collection, returning the candidate visualizations RunGrouped
-// scores. The result is what a serving layer caches to skip EXTRACT +
-// GROUP on repeated queries with the same visual parameters.
+// series collection, returning the candidate visualizations
+// RunGroupedContext scores. The result is what a serving layer caches to
+// skip EXTRACT + GROUP on repeated queries with the same visual
+// parameters.
 func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
-	if p.opts.Pushdown && len(p.pinned) > 0 {
-		series = filterSeriesWithData(series, p.pinned)
-	}
-	gcfg := p.groupCfg(series)
+	series, gcfg := p.prepare(series)
 	vizs := make([]*Viz, 0, len(series))
 	for _, s := range series {
 		if v := group(s, gcfg); v != nil {
@@ -267,32 +270,19 @@ func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
 	return vizs
 }
 
-// Search runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline over a
-// data source: a *dataset.Index, or a bare *dataset.Table that builds a
-// throwaway index per call, so repeated searches should pass the index.
-// Filter validation happens once, up front, inside the source's Extract —
-// never per row.
-func (p *Plan) Search(src dataset.Source, spec dataset.ExtractSpec) ([]Result, error) {
-	return p.SearchContext(context.Background(), src, spec)
-}
-
-// SearchContext is Search with cooperative cancellation: once ctx is done,
-// workers stop pulling candidates, the pool drains, and the call returns
-// ctx.Err(). Cancellation is checked between candidates (and between
-// bounding-pass candidates), so an abandoned request frees its workers
-// within one candidate's scoring time.
+// SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline
+// over a data source: a *dataset.Index, or a bare *dataset.Table that
+// builds a throwaway index per call, so repeated searches should pass the
+// index. Filter validation happens once, up front, inside the source's
+// Extract — never per row. It is the Q=1 case of MultiPlan.SearchContext.
+//
+// Cancellation is cooperative: extraction never starts for a dead ctx, and
+// once ctx is done workers stop pulling candidates, the pool drains, and
+// the call returns ctx.Err(). Cancellation is checked between candidates
+// (and between bounding-pass candidates), so an abandoned request frees
+// its workers within one candidate's scoring time.
 func (p *Plan) SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec) ([]Result, error) {
-	// Extraction itself is not interruptible, but never start it for a
-	// request that is already dead — on large tables EXTRACT is the most
-	// expensive phase before scoring.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	series, err := src.Extract(p.EffectiveSpec(spec))
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, series)
+	return only(p.batch().SearchContext(ctx, src, spec))
 }
 
 // Run ranks pre-extracted series against the compiled query.
@@ -300,33 +290,27 @@ func (p *Plan) Run(series []dataset.Series) ([]Result, error) {
 	return p.RunContext(context.Background(), series)
 }
 
-// RunContext is Run with cooperative cancellation (see SearchContext).
+// RunContext is Run with cooperative cancellation (see SearchContext): the
+// Q=1 case of MultiPlan.RunContext.
 func (p *Plan) RunContext(ctx context.Context, series []dataset.Series) ([]Result, error) {
-	if p.opts.Pushdown && len(p.pinned) > 0 {
-		series = filterSeriesWithData(series, p.pinned)
-	}
-	gcfg := p.groupCfg(series)
-	return p.run(ctx, len(series), func(i int) *Viz { return group(series[i], gcfg) })
+	return only(p.batch().RunContext(ctx, series))
 }
 
-// RunGrouped ranks pre-grouped candidate visualizations (from GroupSeries,
-// possibly served from a cache) against the compiled query, skipping the
-// EXTRACT and GROUP stages entirely.
-func (p *Plan) RunGrouped(vizs []*Viz) ([]Result, error) {
-	return p.RunGroupedContext(context.Background(), vizs)
-}
-
-// RunGroupedContext is RunGrouped with cooperative cancellation (see
-// SearchContext).
+// RunGroupedContext ranks pre-grouped candidate visualizations (from
+// GroupSeries, possibly served from a cache) against the compiled query,
+// skipping the EXTRACT and GROUP stages entirely, with cooperative
+// cancellation (see SearchContext): the Q=1 case of
+// MultiPlan.RunGroupedContext.
 func (p *Plan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([]Result, error) {
-	return p.run(ctx, len(vizs), func(i int) *Viz { return vizs[i] })
+	return only(p.batch().RunGroupedContext(ctx, vizs))
 }
 
-// run ranks n candidates against the plan alone: the Q=1 case of the batch
-// pipeline (pipeline.go). A compiled plan's chainMeta is its own signature
-// table, so no batch interning is needed.
-func (p *Plan) run(ctx context.Context, n int, viz func(int) *Viz) ([]Result, error) {
-	out, err := runPlans(ctx, []*Plan{p}, n, viz)
+// batch is the plan as a batch of one: a lone compiled plan's chainMeta is
+// its own signature table, so it needs no NewMultiPlan interning.
+func (p *Plan) batch() *MultiPlan { return &MultiPlan{plans: []*Plan{p}} }
+
+// only unwraps a batch of one's results.
+func only(out [][]Result, err error) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -84,10 +85,33 @@ func TestCompileNormalizedMatchesCompile(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesSearchSeries: the compatibility wrappers and the compiled
-// plan must rank identically across algorithms, pruning and parallelism.
+// TestPlanMatchesSearchSeries: a plan's SearchContext over a table (the
+// root package's Search) must rank byte-identically to its Run over the
+// same series extracted up front (the root package's SearchSeries), across
+// algorithms, pruning and parallelism.
 func TestPlanMatchesSearchSeries(t *testing.T) {
-	series := planSeries()
+	var zs []string
+	var xs, ys []float64
+	for _, s := range planSeries() {
+		for i := range s.X {
+			zs = append(zs, s.Z)
+			xs = append(xs, s.X[i])
+			ys = append(ys, s.Y[i])
+		}
+	}
+	tbl, err := dataset.New(
+		dataset.Column{Name: "z", Type: dataset.String, Strings: zs},
+		dataset.Column{Name: "x", Type: dataset.Float, Floats: xs},
+		dataset.Column{Name: "y", Type: dataset.Float, Floats: ys},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dataset.ExtractSpec{Z: "z", X: "x", Y: "y"}
+	series, err := tbl.Extract(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := regexlang.MustParse("u ; d")
 	for _, tc := range []struct {
 		name string
@@ -105,26 +129,19 @@ func TestPlanMatchesSearchSeries(t *testing.T) {
 			opts := DefaultOptions()
 			opts.K = 5
 			tc.mod(&opts)
-			want, err := SearchSeries(series, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			plan, err := Compile(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plan.Run(series)
+			want, err := plan.Run(series)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("len %d != %d", len(got), len(want))
+			got, err := plan.SearchContext(context.Background(), tbl, spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i].Z != want[i].Z || got[i].Score != want[i].Score {
-					t.Fatalf("%d: %s %v != %s %v", i, got[i].Z, got[i].Score, want[i].Z, want[i].Score)
-				}
-			}
+			requireSameResults(t, tc.name, want, got)
 		})
 	}
 }
@@ -144,7 +161,7 @@ func TestRunGroupedMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		vizs := plan.GroupSeries(series)
-		got, err := plan.RunGrouped(vizs)
+		got, err := plan.RunGroupedContext(context.Background(), vizs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +177,8 @@ func TestRunGroupedMatchesRun(t *testing.T) {
 }
 
 // TestPlanConcurrentReuse: one compiled plan must serve concurrent Run and
-// RunGrouped calls (the serving pattern) race-free with stable results.
+// RunGroupedContext calls (the serving pattern) race-free with stable
+// results.
 func TestPlanConcurrentReuse(t *testing.T) {
 	series := planSeries()
 	opts := DefaultOptions()
@@ -186,7 +204,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 				if g%2 == 0 {
 					got, err = plan.Run(series)
 				} else {
-					got, err = plan.RunGrouped(vizs)
+					got, err = plan.RunGroupedContext(context.Background(), vizs)
 				}
 				if err != nil {
 					errs <- err
@@ -278,7 +296,7 @@ func TestSharedThresholdPruningParallel(t *testing.T) {
 	base.Algorithm = AlgSegmentTree
 	base.K = 5
 	base.Parallelism = 1
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +304,7 @@ func TestSharedThresholdPruningParallel(t *testing.T) {
 		pruned := base
 		pruned.Pruning = true
 		pruned.Parallelism = workers
-		got, err := SearchSeries(series, q, pruned)
+		got, err := searchSeries(series, q, pruned)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func TestPruningIsLossless(t *testing.T) {
 		opts.K = 5
 
 		opts.Pruning = false
-		exact, err := SearchSeries(series, q, opts)
+		exact, err := searchSeries(series, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestPruningIsLossless(t *testing.T) {
 			pruned := opts
 			pruned.Pruning = true
 			pruned.Parallelism = workers
-			got, err := SearchSeries(series, q, pruned)
+			got, err := searchSeries(series, q, pruned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestPruningIsLossless(t *testing.T) {
 				base.Parallelism = 1
 				base.K = k
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func TestPruningIsLossless(t *testing.T) {
 					pruned := base
 					pruned.Pruning = true
 					pruned.Parallelism = workers
-					got, err := SearchSeries(series, q, pruned)
+					got, err := searchSeries(series, q, pruned)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -144,13 +144,13 @@ func TestPruningIsLossless(t *testing.T) {
 				base.Parallelism = 1
 				base.K = 5
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				pruned := base
 				pruned.Pruning = true
-				got, err := SearchSeries(series, q, pruned)
+				got, err := searchSeries(series, q, pruned)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func TestDeferredVerificationRescues(t *testing.T) {
 		base.Parallelism = 1
 		base.K = 10
 		base.Pruning = false
-		want, err := SearchSeries(series, q, base)
+		want, err := searchSeries(series, q, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestDeferredVerificationRescues(t *testing.T) {
 				pruned.Pruning = true
 				pruned.Parallelism = workers
 				pruned.pruneThresholdBias = bias
-				got, err := SearchSeries(series, q, pruned)
+				got, err := searchSeries(series, q, pruned)
 				if err != nil {
 					t.Fatal(err)
 				}

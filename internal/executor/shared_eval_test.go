@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -99,7 +100,7 @@ func TestSharedEvalMatchesNaive(t *testing.T) {
 				}
 				for ci, series := range corpora {
 					vizs := plan.GroupSeries(series)
-					got, err := plan.RunGrouped(vizs)
+					got, err := plan.RunGroupedContext(context.Background(), vizs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -149,7 +150,7 @@ func TestSharedEvalMatchesNaiveDP(t *testing.T) {
 				t.Fatal(err)
 			}
 			vizs := plan.GroupSeries(series)
-			got, err := plan.RunGrouped(vizs)
+			got, err := plan.RunGroupedContext(context.Background(), vizs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +200,7 @@ func TestSharedEvalTieLowestAlternativeWins(t *testing.T) {
 			if math.Float64bits(a0.score) != math.Float64bits(a1.score) {
 				t.Fatalf("%s: alternatives score %v and %v; the test needs an exact tie", tc.q, a0.score, a1.score)
 			}
-			got, err := plan.RunGrouped(vizs)
+			got, err := plan.RunGroupedContext(context.Background(), vizs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +380,7 @@ func BenchmarkFuzzyAlternatives(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if cfg.naive {
 					naiveRun(plan, vizs)
-				} else if _, err := plan.RunGrouped(vizs); err != nil {
+				} else if _, err := plan.RunGroupedContext(context.Background(), vizs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -293,11 +293,11 @@ func TestSearchPrunedMatchesPlainOnSearch(t *testing.T) {
 	plain.Algorithm = AlgSegmentTree
 	pruned := plain
 	pruned.Pruning = true
-	a, err := SearchSeries(series, q, plain)
+	a, err := searchSeries(series, q, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchSeries(series, q, pruned)
+	b, err := searchSeries(series, q, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}

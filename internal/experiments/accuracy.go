@@ -36,12 +36,8 @@ func Table11(cfg Config) Table {
 			opts := baseOptions(cfg)
 			opts.Algorithm = executor.AlgSegmentTree
 			opts.K = len(check)
-			res, err := executor.SearchSeries(check, q, opts)
-			if err != nil {
-				panic(err)
-			}
 			positive := 0
-			for _, r := range res {
+			for _, r := range mustRun(check, q, opts) {
 				if r.Score > 0 {
 					positive++
 				}
@@ -66,10 +62,7 @@ func dpScores(series []dataset.Series, q shape.Query, cfg Config) map[string]flo
 	opts := baseOptions(cfg)
 	opts.Algorithm = executor.AlgDP
 	opts.K = len(series)
-	res, err := executor.SearchSeries(series, q, opts)
-	if err != nil {
-		panic(err)
-	}
+	res := mustRun(series, q, opts)
 	scores := make(map[string]float64, len(res))
 	for _, r := range res {
 		scores[r.Z] = r.Score
@@ -77,11 +70,18 @@ func dpScores(series []dataset.Series, q shape.Query, cfg Config) map[string]flo
 	return scores
 }
 
-func ranking(series []dataset.Series, q shape.Query, opts executor.Options) []string {
-	res, err := executor.SearchSeries(series, q, opts)
+// mustRun compiles q and ranks series against it; experiment queries are
+// statically valid, so an error is a bug.
+func mustRun(series []dataset.Series, q shape.Query, opts executor.Options) []executor.Result {
+	res, err := mustCompile(q, opts).Run(series)
 	if err != nil {
 		panic(err)
 	}
+	return res
+}
+
+func ranking(series []dataset.Series, q shape.Query, opts executor.Options) []string {
+	res := mustRun(series, q, opts)
 	zs := make([]string, len(res))
 	for i, r := range res {
 		zs[i] = r.Z

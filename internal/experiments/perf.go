@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -160,7 +161,7 @@ func Fig11(cfg Config) Table {
 		run := func(opts executor.Options) time.Duration {
 			plan := mustCompile(q, opts)
 			mean, _, _ := timeIt(cfg.Trials, func() {
-				if _, err := plan.Search(set.index, set.spec); err != nil {
+				if _, err := plan.SearchContext(context.Background(), set.index, set.spec); err != nil {
 					panic(err)
 				}
 			})

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -137,8 +138,7 @@ func errf(pos int, format string, args ...any) error {
 
 func (l *lexer) next() (token, error) {
 	for l.pos < len(l.input) {
-		r := rune(l.input[l.pos])
-		if r < 0x80 && (r == ' ' || r == '\t' || r == '\n' || r == '\r') {
+		if c := l.input[l.pos]; c == ' ' || c == '\t' || c == '\n' || c == '\r' {
 			l.pos++
 			continue
 		}
@@ -166,10 +166,6 @@ func (l *lexer) next() (token, error) {
 			l.pos += len(g.glyph)
 			return token{kind: g.kind, text: g.glyph, pos: start}, nil
 		}
-	}
-	if strings.HasPrefix(rest, "θ") {
-		l.pos += len("θ")
-		return token{kind: tokIdent, text: "theta", pos: start}, nil
 	}
 
 	c := l.input[l.pos]
@@ -254,10 +250,14 @@ func (l *lexer) next() (token, error) {
 	if isDigit(c) {
 		return l.lexNumber()
 	}
-	if isIdentStart(rune(c)) {
+	r, size := utf8.DecodeRuneInString(rest)
+	if r == utf8.RuneError && size == 1 {
+		return token{}, errf(start, "invalid UTF-8 byte %#x", c)
+	}
+	if isIdentStart(r) {
 		return l.lexIdent()
 	}
-	return token{}, errf(start, "unexpected character %q", string(rune(c)))
+	return token{}, errf(start, "unexpected character %q", string(r))
 }
 
 func (l *lexer) lexNumber() (token, error) {
@@ -298,19 +298,29 @@ func (l *lexer) lexNumber() (token, error) {
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
 	for l.pos < len(l.input) {
-		c := rune(l.input[l.pos])
-		if isIdentStart(c) || isDigit(byte(c)) {
-			l.pos++
+		// Identifiers end at any rune that cannot continue them, invalid
+		// UTF-8 included: next reports that byte.
+		r, size := utf8.DecodeRuneInString(l.input[l.pos:])
+		if isIdentStart(r) || isDigit(l.input[l.pos]) {
+			l.pos += size
 			continue
 		}
 		// Embedded dots join sub-primitive names: x.s, y.e.
-		if c == '.' && l.pos+1 < len(l.input) && isIdentStart(rune(l.input[l.pos+1])) {
-			l.pos += 2
-			continue
+		if r == '.' {
+			if after, _ := utf8.DecodeRuneInString(l.input[l.pos+1:]); isIdentStart(after) {
+				l.pos++
+				continue
+			}
 		}
 		break
 	}
-	return token{kind: tokIdent, text: strings.ToLower(l.input[start:l.pos]), pos: start}, nil
+	text := strings.ToLower(l.input[start:l.pos])
+	if text == "θ" {
+		// θ = 45° spells the angle primitive; lexed as an identifier so a
+		// longer name starting with θ (or its capital Θ) is not split.
+		text = "theta"
+	}
+	return token{kind: tokIdent, text: text, pos: start}, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

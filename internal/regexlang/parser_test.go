@@ -192,6 +192,34 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 }
 
+// TestParseUTF8: the lexer reads runes, not bytes. Invalid UTF-8 is a
+// syntax error at the offending byte; a valid non-ASCII letter is an
+// identifier character whose canonical form re-parses to the same tree.
+func TestParseUTF8(t *testing.T) {
+	for _, c := range []struct {
+		in  string
+		pos int
+	}{{"A\xff", 1}, {"\xff", 0}, {"u ; \xc3", 4}} {
+		_, err := Parse(c.in)
+		se, ok := err.(*SyntaxError)
+		if !ok || se.Pos != c.pos || !strings.Contains(se.Message, "invalid UTF-8") {
+			t.Errorf("Parse(%q) = %v, want an invalid UTF-8 SyntaxError at %d", c.in, err, c.pos)
+		}
+	}
+	for _, c := range []struct{ in, want string }{
+		{"é", "[p=é]"},
+		{"É ; u", "[p=é][p=up]"},
+	} {
+		q := mustParse(t, c.in)
+		if got := q.String(); got != c.want {
+			t.Errorf("Parse(%q).String() = %q, want %q", c.in, got, c.want)
+		}
+		if q2 := mustParse(t, q.String()); !q.Root.Equal(q2.Root) {
+			t.Errorf("Parse(%q) does not round-trip through %q", c.in, q.String())
+		}
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -273,17 +301,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// idempotentFormatInputs cover every formatting construct; they also seed
+// FuzzParseRoundTrip.
+var idempotentFormatInputs = []string{
+	"u;d;u",
+	"[p=up, m={2,}] & ![p=flat]",
+	"(u | d) ; f",
+	"[x.s=., x.e=.+3, p=up]",
+	"[v=(0:1,1:5,2:3)]",
+	"[p=$0, m=<0.5]",
+}
+
 // TestIdempotentFormat: String of a parsed query re-parses to the same string.
 func TestIdempotentFormat(t *testing.T) {
-	inputs := []string{
-		"u;d;u",
-		"[p=up, m={2,}] & ![p=flat]",
-		"(u | d) ; f",
-		"[x.s=., x.e=.+3, p=up]",
-		"[v=(0:1,1:5,2:3)]",
-		"[p=$0, m=<0.5]",
-	}
-	for _, in := range inputs {
+	for _, in := range idempotentFormatInputs {
 		q := mustParse(t, in)
 		s1 := q.String()
 		q2 := mustParse(t, s1)

@@ -8,12 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/executor"
 	"shapesearch/internal/gen"
+	"shapesearch/internal/server/faultinject"
 )
 
 // appendQueries cover crisp, multi-segment and fuzzy queries (distinct
@@ -225,6 +228,102 @@ func TestAppendNewGroups(t *testing.T) {
 	if m := cacheMisses(s); m != misses {
 		t.Fatalf("mid-insert dropped the cache entry (misses %d -> %d)", misses, m)
 	}
+}
+
+// batchCanonical is searchCanonical for a batch of queries over "ticks".
+func batchCanonical(t *testing.T, s *Server, queries []string, k int, pruning bool) string {
+	t.Helper()
+	req := searchRequest{Dataset: "ticks", Z: "z", X: "x", Y: "y", K: k, Pruning: pruning}
+	for _, q := range queries {
+		req.Queries = append(req.Queries, parseRequest{Kind: "regex", Query: q})
+	}
+	rec := doJSON(t, s, http.MethodPost, "/api/search", req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch search: status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp searchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	resp.Debug = nil
+	out, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestSearchWhileRebuildParked covers the window between a mid-order
+// append, which drops an indexed entry's shape index, and the background
+// rebuild that restores it: held at server.rebuild.build, the entry serves
+// single and batch searches by a flat scan of its patched candidates, and
+// both must answer byte-identically to a fresh Register of the
+// concatenated table without missing the cache. Once the rebuild lands,
+// the rebuilt index serves the same answers.
+func TestSearchWhileRebuildParked(t *testing.T) {
+	s := New()
+	base, _ := gen.StreamTicks(indexedSeries, 8, 0, 0, 7, true)
+	pristine, _ := gen.StreamTicks(indexedSeries, 8, 0, 0, 7, true)
+	s.Register("ticks", base)
+	for _, q := range appendQueries {
+		searchCanonical(t, s, q, 10, true)
+	}
+	requireIndexed(t, s, "ticks", true)
+
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	restore := faultinject.Set("server.rebuild.build", func() {
+		close(parked)
+		<-release
+	})
+	defer restore()
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+
+	// StreamTicks series are named tick…, so "aaa-…" sorts before all of
+	// them: the patch merges mid-slice and drops the entry's index.
+	midDelta := seriesTable(t, "aaa-mid-", 2, 8)
+	if _, _, err := s.AppendRows("ticks", midDelta); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("mid-order append did not schedule an index rebuild")
+	}
+	requireIndexed(t, s, "ticks", false)
+
+	full, err := dataset.Concat(pristine, midDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New()
+	fresh.Register("ticks", full)
+	check := func(label string) {
+		t.Helper()
+		misses := cacheMisses(s)
+		for _, pruning := range []bool{true, false} {
+			for _, q := range appendQueries {
+				if got, want := searchCanonical(t, s, q, 10, pruning), searchCanonical(t, fresh, q, 10, pruning); got != want {
+					t.Fatalf("%s: query %q (pruning=%v) diverges from a fresh Register\ngot:  %.300s\nwant: %.300s", label, q, pruning, got, want)
+				}
+			}
+			if got, want := batchCanonical(t, s, appendQueries, 10, pruning), batchCanonical(t, fresh, appendQueries, 10, pruning); got != want {
+				t.Fatalf("%s: batch (pruning=%v) diverges from a fresh Register\ngot:  %.300s\nwant: %.300s", label, pruning, got, want)
+			}
+		}
+		if m := cacheMisses(s); m != misses {
+			t.Fatalf("%s: searches missed the cache (%d -> %d)", label, misses, m)
+		}
+	}
+	check("rebuild parked")
+	requireIndexed(t, s, "ticks", false)
+
+	unpark()
+	s.rebuildWG.Wait()
+	requireIndexed(t, s, "ticks", true)
+	check("rebuilt index")
 }
 
 // entryIndexStaleness digs the lone cached entry's shape-index staleness

@@ -382,8 +382,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req parseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	_, resp, err := s.parseQuery(req)
@@ -483,12 +482,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	batch := len(req.Queries) > 0
-	if batch && (req.Kind != "" || req.Query != "" || len(req.Sketch) > 0) {
+	if len(req.Queries) > 0 && (req.Kind != "" || req.Query != "" || len(req.Sketch) > 0) {
 		writeError(w, http.StatusBadRequest, "use either the top-level query fields or queries, not both")
 		return
 	}
@@ -543,47 +540,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer tk.release()
 	faultinject.Fire("server.search.admitted")
-	if batch {
-		s.searchBatch(ctx, w, r, req, ix, version, dv, spec, opts, tk.budget)
-		return
-	}
-	q, parseResp, err := s.parseQuery(req.parseRequest)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	plan, planHit, err := s.compilePlan(q, opts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	plan = plan.WithParallelism(tk.budget)
-	cands, err := s.fetchCandidates(ctx, w, r, req.Dataset, version, dv, ix, plan, spec)
-	if err != nil {
-		return // fetchCandidates wrote the error response
-	}
-	// Score under the same context: a disconnecting client (or the
-	// configured per-request timeout) cancels the worker pool instead of
-	// letting an abandoned query keep burning cores. A cached shape index
-	// routes the search through the best-first traversal (engines it cannot
-	// serve fall back to the flat pipeline inside RunIndexedContext).
-	faultinject.Fire("server.search.score")
-	var results []executor.Result
-	if cands.index != nil {
-		results, err = plan.RunIndexedContext(ctx, cands.index)
-	} else {
-		results, err = plan.RunGroupedContext(ctx, cands.vizs)
-	}
-	if err != nil {
-		s.writeSearchErr(w, r, err)
-		return
-	}
-	resp := searchResponse{
-		Parse:   *parseResp,
-		Results: renderResults(results, req.MaxPoints),
-		Debug:   s.planDebug(planHit),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.searchBatch(ctx, w, r, req, ix, version, dv, spec, opts, tk.budget)
 }
 
 // compilePlan serves a compiled plan through the plan cache: the query is
@@ -659,45 +616,47 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 	return cands, nil
 }
 
-// searchBatch executes the batch form of /api/search: every query is
-// served through the plan cache, queries whose candidate sets provably
-// coincide (equal Plan.CandidateKey — same effective extract spec and
-// group config) share one candidate-cache entry, and each such group is
-// scored in a single pass over its candidates by executor.MultiPlan.
-// Results come back in input-query order.
+// searchBatch executes /api/search: every query is served through the
+// plan cache, queries whose candidate sets provably coincide
+// (executor.CandidateGroups — equal effective extract spec and group
+// config) share one candidate-cache entry, and each such group is scored
+// in a single pass over its candidates by executor.MultiPlan. Results come
+// back in input-query order. A single-query request runs as a batch of
+// one and replies with the top-level parse and results fields; its error
+// texts carry no query index.
 func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest, ix *dataset.Index, version, dv uint64, spec dataset.ExtractSpec, opts executor.Options, budget int) {
-	parses := make([]parseResponse, len(req.Queries))
-	plans := make([]*executor.Plan, len(req.Queries))
+	queries, single := req.Queries, len(req.Queries) == 0
+	if single {
+		queries = []parseRequest{req.parseRequest}
+	}
+	errText := func(i int, err error) string {
+		if single {
+			return err.Error()
+		}
+		return fmt.Sprintf("query %d: %s", i, err)
+	}
+	parses := make([]parseResponse, len(queries))
+	plans := make([]*executor.Plan, len(queries))
 	allHit := true
-	for i, pr := range req.Queries {
+	for i, pr := range queries {
 		q, presp, err := s.parseQuery(pr)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf("query %d: %s", i, err))
+			writeError(w, http.StatusUnprocessableEntity, errText(i, err))
 			return
 		}
 		parses[i] = *presp
 		plan, hit, err := s.compilePlan(q, opts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
+			writeError(w, http.StatusBadRequest, errText(i, err))
 			return
 		}
 		allHit = allHit && hit
 		plans[i] = plan.WithParallelism(budget)
 	}
-	// Group queries by candidate key: one EXTRACT + GROUP (or one cache
-	// hit) and one multi-query scoring pass per distinct key.
-	groups := make(map[string][]int, len(plans))
-	order := make([]string, 0, len(plans))
-	for i, p := range plans {
-		k := p.CandidateKey(spec)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
+	// One EXTRACT + GROUP (or one cache hit) and one multi-query scoring
+	// pass per candidate group.
 	results := make([][]executor.Result, len(plans))
-	for _, k := range order {
-		idxs := groups[k]
+	for _, idxs := range executor.CandidateGroups(plans, spec) {
 		group := make([]*executor.Plan, len(idxs))
 		for gi, qi := range idxs {
 			group[gi] = plans[qi]
@@ -711,6 +670,12 @@ func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http
 		if err != nil {
 			return // fetchCandidates wrote the error response
 		}
+		// Score under the request's context: a disconnecting client (or
+		// the configured per-request timeout) cancels the worker pool
+		// instead of letting an abandoned query keep burning cores. A
+		// cached shape index routes the search through the best-first
+		// traversal (engines it cannot serve fall back to the flat
+		// pipeline inside RunIndexedContext).
 		faultinject.Fire("server.search.score")
 		var res [][]executor.Result
 		if cands.index != nil {
@@ -727,11 +692,15 @@ func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http
 		}
 	}
 	resp := searchResponse{Debug: s.planDebug(allHit)}
-	resp.Queries = make([]batchQueryResult, len(plans))
-	for i := range plans {
-		resp.Queries[i] = batchQueryResult{
-			Parse:   parses[i],
-			Results: renderResults(results[i], req.MaxPoints),
+	if single {
+		resp.Parse, resp.Results = parses[0], renderResults(results[0], req.MaxPoints)
+	} else {
+		resp.Queries = make([]batchQueryResult, len(plans))
+		for i := range plans {
+			resp.Queries[i] = batchQueryResult{
+				Parse:   parses[i],
+				Results: renderResults(results[i], req.MaxPoints),
+			}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -876,6 +845,29 @@ func downsample(x, y []float64, n int) ([]float64, []float64) {
 		oy = append(oy, y[j])
 	}
 	return ox, oy
+}
+
+// maxJSONBody caps the /api/search and /api/parse request bodies. A
+// request is a few queries plus visual parameters; 1 MiB leaves room for
+// long sketches and large batches, and a larger body is refused with 413
+// before it is buffered.
+const maxJSONBody = 1 << 20
+
+// decodeJSON decodes a capped JSON request body into v, writing the error
+// response (413 past maxJSONBody, 400 for malformed JSON) and returning
+// false on failure.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -255,6 +255,85 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestSingleSearchIsBatchOfOne: a single-query request runs as a batch of
+// one yet keeps its own reply shape — top-level parse and results, equal
+// to the batch entry's — and error texts without the batch's query index.
+func TestSingleSearchIsBatchOfOne(t *testing.T) {
+	s := testServer(t)
+	search := func(pr parseRequest, batch bool) *httptest.ResponseRecorder {
+		req := searchRequest{Dataset: "demo", Z: "z", X: "x", Y: "y", K: 2}
+		if batch {
+			req.Queries = []parseRequest{pr}
+		} else {
+			req.parseRequest = pr
+		}
+		return doJSON(t, s, http.MethodPost, "/api/search", req)
+	}
+	marshal := func(v any) string {
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	pr := parseRequest{Kind: "regex", Query: "u ; d"}
+	var single, batch searchResponse
+	for _, c := range []struct {
+		batch bool
+		into  *searchResponse
+	}{{false, &single}, {true, &batch}} {
+		rec := search(pr, c.batch)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch=%v: status = %d: %s", c.batch, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), c.into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(single.Queries) != 0 || len(single.Results) == 0 {
+		t.Fatalf("single reply has %d batch entries and %d results", len(single.Queries), len(single.Results))
+	}
+	if got, want := marshal(batchQueryResult{Parse: single.Parse, Results: single.Results}), marshal(batch.Queries[0]); got != want {
+		t.Fatalf("single reply %s, batch entry %s", got, want)
+	}
+	for _, c := range []struct {
+		query string
+		code  int
+	}{{"[", http.StatusUnprocessableEntity}, {"[p=ghost]", http.StatusBadRequest}} {
+		pr := parseRequest{Kind: "regex", Query: c.query}
+		var one, many map[string]string
+		for _, r := range []struct {
+			batch bool
+			into  *map[string]string
+		}{{false, &one}, {true, &many}} {
+			rec := search(pr, r.batch)
+			if rec.Code != c.code {
+				t.Fatalf("%q batch=%v: status = %d, want %d", c.query, r.batch, rec.Code, c.code)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), r.into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if strings.HasPrefix(one["error"], "query ") || "query 0: "+one["error"] != many["error"] {
+			t.Fatalf("%q: single error %q, batch error %q", c.query, one["error"], many["error"])
+		}
+	}
+}
+
+// TestJSONBodyCap: /api/search and /api/parse refuse a body larger than
+// maxJSONBody with 413 instead of buffering it.
+func TestJSONBodyCap(t *testing.T) {
+	s := testServer(t)
+	body := `{"kind":"regex","query":"` + strings.Repeat("u", maxJSONBody) + `"}`
+	for _, path := range []string{"/api/search", "/api/parse"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (%.200s)", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 func TestSearchWithFilterAndAlgorithms(t *testing.T) {
 	s := testServer(t)
 	for _, alg := range []string{"auto", "dp", "segmenttree", "greedy", "dtw", "euclidean"} {

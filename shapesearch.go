@@ -87,7 +87,7 @@ type (
 	// Options configures a search.
 	Options = executor.Options
 	// Plan is a compiled query, reusable (and safe for concurrent use)
-	// across many Run/Search calls.
+	// across many Run/RunContext/SearchContext calls.
 	Plan = executor.Plan
 	// MultiPlan is a batch of compiled queries that execute against a
 	// corpus in one pass, sharing per-candidate work across queries while
@@ -260,7 +260,8 @@ func DefaultSketchConfig() SketchConfig { return sketch.DefaultConfig() }
 // Compile prepares a query for repeated execution: validation,
 // normalization, solver selection and nested sub-query compilation run
 // once, and the resulting Plan can score many series collections (from
-// many goroutines) via Plan.Run, Plan.RunGrouped or Plan.Search.
+// many goroutines) via Plan.Run, Plan.RunContext, Plan.RunGroupedContext
+// or Plan.SearchContext.
 func Compile(q Query, opts Options) (*Plan, error) { return executor.Compile(q, opts) }
 
 // CompileBatch compiles several queries under one set of options into a
@@ -283,21 +284,26 @@ func NewMultiPlan(plans []*Plan) (*MultiPlan, error) { return executor.NewMultiP
 // candidates — the batch analogue of Search. Results are per query, in
 // input order, byte-identical to running each query alone.
 func SearchBatch(src Source, spec ExtractSpec, qs []Query, opts Options) ([][]Result, error) {
-	return executor.SearchBatch(src, spec, qs, opts)
+	return SearchBatchContext(context.Background(), src, spec, qs, opts)
 }
 
-// SearchBatchContext is SearchBatch with cooperative cancellation.
+// SearchBatchContext is SearchBatch with cooperative cancellation: a thin
+// wrapper over CompileBatch + MultiPlan.SearchContext.
 func SearchBatchContext(ctx context.Context, src Source, spec ExtractSpec, qs []Query, opts Options) ([][]Result, error) {
-	return executor.SearchBatchContext(ctx, src, spec, qs, opts)
+	mp, err := executor.CompileBatch(qs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return mp.SearchContext(ctx, src, spec)
 }
 
 // Search extracts candidate visualizations and ranks them against the
 // query — the full EXTRACT → GROUP → SEGMENT → SCORE pipeline. The source
 // is an *Index, or a bare *Table indexed for this one call. It is a thin
-// wrapper over Compile + Plan.Search; issue repeated queries through a
-// compiled Plan (and an Index) instead.
+// wrapper over Compile + Plan.SearchContext; issue repeated queries
+// through a compiled Plan (and an Index) instead.
 func Search(src Source, spec ExtractSpec, q Query, opts Options) ([]Result, error) {
-	return executor.Search(src, spec, q, opts)
+	return SearchContext(context.Background(), src, spec, q, opts)
 }
 
 // SearchContext is Search with cooperative cancellation: when ctx is
@@ -305,17 +311,25 @@ func Search(src Source, spec ExtractSpec, q Query, opts Options) ([]Result, erro
 // candidates and the call returns ctx.Err(). Compiled plans expose the same
 // via Plan.SearchContext / Plan.RunContext / Plan.RunGroupedContext.
 func SearchContext(ctx context.Context, src Source, spec ExtractSpec, q Query, opts Options) ([]Result, error) {
-	return executor.SearchContext(ctx, src, spec, q, opts)
+	p, err := executor.Compile(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.SearchContext(ctx, src, spec)
 }
 
 // SearchSeries ranks pre-extracted trendlines against the query (a thin
-// wrapper over Compile + Plan.Run).
+// wrapper over Compile + Plan.RunContext).
 func SearchSeries(series []Series, q Query, opts Options) ([]Result, error) {
-	return executor.SearchSeries(series, q, opts)
+	return SearchSeriesContext(context.Background(), series, q, opts)
 }
 
 // SearchSeriesContext is SearchSeries with cooperative cancellation (see
 // SearchContext).
 func SearchSeriesContext(ctx context.Context, series []Series, q Query, opts Options) ([]Result, error) {
-	return executor.SearchSeriesContext(ctx, series, q, opts)
+	p, err := executor.Compile(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunContext(ctx, series)
 }
